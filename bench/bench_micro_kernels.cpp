@@ -13,6 +13,7 @@
 #include "nn/sequential.h"
 #include "opt/assignment_lp.h"
 #include "opt/knapsack.h"
+#include "parallel/thread_pool.h"
 #include "tensor/cpu_features.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -84,8 +85,8 @@ void BM_ConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForward);
 
-// The raw fused product (gemm_im2col, no layer overhead): what the conv
-// forward pays per sample now that the column matrix is never materialised.
+// The raw fused product (gemm_im2col, no layer overhead) on one image: the
+// column matrix is never materialised.
 void BM_ConvForwardFused(benchmark::State& state) {
   Rng rng(12);
   const Im2colMap map{8, 32, 32, 3, 3, 1, 1};
@@ -107,10 +108,7 @@ void BM_ConvForwardFused(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForwardFused);
 
-// Backward pass alone (dW/db reduction + dcol/col2im): the cost of the
-// deterministic chunk-indexed gradient reduction lives here, so the
-// trajectory records what the bit-identity contract costs over the mutex
-// baseline.
+// Backward pass alone (gradient permute, dW/db, dcol/col2im).
 void BM_ConvBackward(benchmark::State& state) {
   init::reseed(16);
   Conv2d conv(8, 8, 3, 1, 1);
@@ -121,7 +119,11 @@ void BM_ConvBackward(benchmark::State& state) {
   }
   Tensor y = conv.forward(x, true);
   for (auto _ : state) {
+    // Backward consumes the forward's cached input; refill it untimed.
+    state.PauseTiming();
+    conv.forward(x, true);
     conv.zero_grad();
+    state.ResumeTiming();
     Tensor dx = conv.backward(y);
     benchmark::DoNotOptimize(dx.data());
   }
@@ -144,6 +146,45 @@ void BM_ConvTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvTrainStep);
+
+// One forward + backward of Conv2d at the ResNet18-style model's own conv
+// shapes (3x3, pad 1): the stem and stride-2 bridge see the full local batch
+// of 16, a module conv sees a routed sub-batch of 4. Arg indexes the shape.
+// Runs on a 1-worker pool: in a round each device leg trains on one worker,
+// its conv calls running inline.
+void BM_ConvTrainStepResnet(benchmark::State& state) {
+  struct Shape {
+    std::int64_t in_c, out_c, hw, stride, batch;
+  };
+  static const Shape kShapes[] = {
+      {3, 8, 8, 1, 16},   // stem, 8x8
+      {8, 16, 4, 2, 16},  // bridge, 4x4 -> 2x2
+      {8, 4, 4, 1, 4},    // module conv at 4x4
+      {16, 16, 2, 1, 4},  // module conv at 2x2
+  };
+  const Shape& s = kShapes[state.range(0)];
+  ThreadPool serial(1);
+  ThreadPool* prev = ThreadPool::set_global(&serial);
+  init::reseed(6);
+  Conv2d conv(s.in_c, s.out_c, 3, s.stride, 1);
+  Rng rng(7);
+  Tensor x({s.batch, s.in_c, s.hw, s.hw});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[static_cast<std::size_t>(i)] = rng.normal();
+  }
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, true);
+    conv.zero_grad();
+    Tensor dx = conv.backward(y);
+    benchmark::DoNotOptimize(dx.data());
+  }
+  // Three products (forward, dW, dx) of 2·out_c·rows·cols flops each.
+  const std::vector<std::int64_t> in_shape{s.batch, s.in_c, s.hw, s.hw};
+  state.SetItemsProcessed(state.iterations() * 3 * s.batch *
+                          conv.flops(in_shape));
+  ThreadPool::set_global(prev);
+}
+BENCHMARK(BM_ConvTrainStepResnet)->DenseRange(0, 3);
 
 void BM_ModularForward(benchmark::State& state) {
   ZooOptions opts;

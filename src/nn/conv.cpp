@@ -27,6 +27,33 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   init::he_normal(w_.value, in_channels * kernel * kernel, init::default_rng());
 }
 
+namespace {
+
+// Scratch slots for the folded-batch temporaries. Slots below
+// kScratchConvGrad belong to the GEMM packing engine; a conv call holds the
+// permuted (out_c, n·P) pixel matrix and, in backward, the dcol matrix live
+// across nested GEMMs, so each takes its own leased slot.
+constexpr std::size_t kScratchConvPixels = ThreadPool::kScratchConvGrad;
+constexpr std::size_t kScratchConvCol = ThreadPool::kScratchConvGrad + 1;
+
+// Images per chunk of a per-image copy or scatter loop moving
+// `floats_per_image` floats each. A parallel region wakes every worker,
+// which costs more than moving a few thousand floats, so a small batch runs
+// inline.
+std::size_t image_grain(std::int64_t floats_per_image) {
+  constexpr std::int64_t kMinChunkFloats = std::int64_t{1} << 14;
+  return static_cast<std::size_t>(
+      std::max<std::int64_t>(1, kMinChunkFloats / floats_per_image));
+}
+
+}  // namespace
+
+// The batch is folded into the GEMM's pixel dimension: the n images' output
+// pixels sit side by side as the n·P columns of one (out_c, n·P) matrix, so
+// each product is one GEMM per call instead of one per sample — the routed
+// sub-batches of a module layer are a few images on 4x4 or 2x2 maps, far too
+// small per sample to leave the naive path. Only the (out_c, n·P) <-> NCHW
+// permutes are extra traffic.
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   NEBULA_CHECK_MSG(x.rank() == 4 && x.dim(1) == in_c_,
                    "Conv2d expects (N, " << in_c_ << ", H, W), got "
@@ -42,36 +69,35 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     cached_input_ = x;
     in_shape_ = x.shape();
   }
-  const std::int64_t col_rows = in_c_ * k_ * k_;
-  const std::int64_t col_cols = oh * ow;
-  const std::int64_t in_vol = in_c_ * h * w;
-  const Im2colMap map{in_c_, h, w, k_, k_, stride_, pad_};
   Tensor y({n, out_c_, oh, ow});
+  if (n == 0) return y;
+  const std::int64_t pix = oh * ow;
+  const std::int64_t cols = n * pix;
+  const Im2colMap map{in_c_, h, w, k_, k_, stride_, pad_, n};
   ThreadPool& pool = ThreadPool::global();
-  const float* xd = x.data();
-  const float* wd = w_.value.data();
+  // Y(out_c, n·P) = W · col; the column matrix is never materialised — the
+  // fused GEMM reads the images through the im2col index map.
+  ThreadPool::ScratchLease ymat(pool, kScratchConvPixels,
+                                static_cast<std::size_t>(out_c_ * cols));
+  gemm_im2col(Trans::N, out_c_, w_.value.data(), map.rows(), x.data(), map,
+              ymat.data(), cols, /*accumulate=*/false);
+  // Permute (out_c, n, P) -> (n, out_c, P), adding the bias on the way.
+  const float* ym = ymat.data();
   const float* bd = has_bias_ ? b_.value.data() : nullptr;
   float* yd = y.data();
-  // Parallel over the batch; the column matrix is never materialised — the
-  // fused GEMM reads the image through the im2col index map in its packing
-  // stage and writes straight into the output slice (GEMMs inside the region
-  // run inline on the owning worker).
   pool.parallel_for_chunked(
       0, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
           const std::int64_t i = static_cast<std::int64_t>(s);
-          float* yi = yd + i * out_c_ * col_cols;
-          gemm_im2col(Trans::N, out_c_, wd, col_rows, xd + i * in_vol, map, yi,
-                      col_cols, /*accumulate=*/false);
-          if (has_bias_) {
-            for (std::int64_t c = 0; c < out_c_; ++c) {
-              float* yc = yi + c * col_cols;
-              const float bc = bd[c];
-              for (std::int64_t p = 0; p < col_cols; ++p) yc[p] += bc;
-            }
+          for (std::int64_t c = 0; c < out_c_; ++c) {
+            const float* src = ym + c * cols + i * pix;
+            float* dst = yd + (i * out_c_ + c) * pix;
+            const float bc = bd ? bd[c] : 0.0f;
+            for (std::int64_t p = 0; p < pix; ++p) dst[p] = src[p] + bc;
           }
         }
-      });
+      },
+      image_grain(out_c_ * pix));
   return y;
 }
 
@@ -84,73 +110,66 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t n = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
   const std::int64_t oh = conv_out_size(h, k_, stride_, pad_);
   const std::int64_t ow = conv_out_size(w, k_, stride_, pad_);
-  const std::int64_t col_rows = in_c_ * k_ * k_;
-  const std::int64_t col_cols = oh * ow;
   NEBULA_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
                grad_out.dim(1) == out_c_ && grad_out.dim(2) == oh &&
                grad_out.dim(3) == ow);
-
   Tensor dx(in_shape_);
-  const std::int64_t in_vol = in_c_ * h * w;
-  const Im2colMap map{in_c_, h, w, k_, k_, stride_, pad_};
+  if (n == 0) return dx;
+  const std::int64_t pix = oh * ow;
+  const std::int64_t cols = n * pix;
+  const Im2colMap map{in_c_, h, w, k_, k_, stride_, pad_, n};
+  const std::int64_t rows = map.rows(), in_vol = map.volume();
   ThreadPool& pool = ThreadPool::global();
-  const float* xd = cached_input_.data();
+  // G(out_c, n·P): grad_out permuted from (n, out_c, P).
+  ThreadPool::ScratchLease gmat(pool, kScratchConvPixels,
+                                static_cast<std::size_t>(out_c_ * cols));
+  float* g = gmat.data();
   const float* gyd = grad_out.data();
-  const float* wd = w_.value.data();
-  float* dxd = dx.data();
-  // Parallel over the batch. dx slices are disjoint per sample; dW/db go
-  // through the pool's deterministic reduction (DESIGN.md §11): each chunk
-  // accumulates into a zeroed slot indexed by its static chunk id, and the
-  // post-barrier pairwise tree combines slots in a fixed sequence — so the
-  // float accumulation order never depends on worker count or arrival
-  // timing. The dW product reads the input image through the fused im2col
-  // map (no column matrix); only the dx product still materialises dcol,
-  // which col2im then scatters back into image layout. When the layer has no
-  // bias the slot carries just the dW block — no tail to allocate or zero.
-  const std::size_t dw_sz = static_cast<std::size_t>(out_c_ * col_rows);
-  const std::size_t slot_sz =
-      dw_sz + (has_bias_ ? static_cast<std::size_t>(out_c_) : 0);
-  pool.reduce_ordered(
-      0, static_cast<std::size_t>(n), slot_sz,
-      [&](std::size_t lo, std::size_t hi, float* part) {
-        // dcol stays live across the nested GEMM + col2im below; the lease
-        // makes any kernel reaching for the same slot fail loudly.
-        ThreadPool::ScratchLease dcol(
-            pool, ThreadPool::kScratchConvGrad,
-            static_cast<std::size_t>(col_rows * col_cols));
-        float* dw_part = part;
-        float* db_part = part + dw_sz;
+  pool.parallel_for_chunked(
+      0, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
           const std::int64_t i = static_cast<std::int64_t>(s);
-          const float* gy = gyd + i * out_c_ * col_cols;
-          // dW(out_c, rows) += gy(out_c, P) * col(rows, P)^T
-          gemm_im2col(Trans::T, out_c_, gy, col_cols, xd + i * in_vol, map,
-                      dw_part, col_rows, /*accumulate=*/true);
-          if (has_bias_) {
-            for (std::int64_t c = 0; c < out_c_; ++c) {
-              const float* gyc = gy + c * col_cols;
-              float acc = 0.0f;
-              for (std::int64_t p = 0; p < col_cols; ++p) acc += gyc[p];
-              db_part[c] += acc;
-            }
+          for (std::int64_t c = 0; c < out_c_; ++c) {
+            std::copy_n(gyd + (i * out_c_ + c) * pix, pix,
+                        g + c * cols + i * pix);
           }
-          // dcol(rows, P) = W(out_c, rows)^T * gy(out_c, P)
-          gemm(Trans::T, Trans::N, col_rows, col_cols, out_c_, wd, col_rows,
-               gy, col_cols, dcol.data(), col_cols, /*accumulate=*/false);
-          col2im(dcol.data(), in_c_, h, w, k_, k_, stride_, pad_,
+        }
+      },
+      image_grain(out_c_ * pix));
+  // dW(out_c, rows) += G · colᵀ: one GEMM whose K spans the whole batch, so
+  // the summation order is fixed by the call alone (DESIGN.md §11).
+  gemm_im2col(Trans::T, out_c_, g, cols, cached_input_.data(), map,
+              w_.grad.data(), rows, /*accumulate=*/true);
+  if (has_bias_) {
+    float* gb = b_.grad.data();
+    for (std::int64_t c = 0; c < out_c_; ++c) {
+      const float* gc = g + c * cols;
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < cols; ++p) acc += gc[p];
+      gb[c] += acc;
+    }
+  }
+  // dcol(rows, n·P) = Wᵀ · G, images fanned out across the pool, then
+  // scattered back image by image.
+  ThreadPool::ScratchLease dcol(pool, kScratchConvCol,
+                                static_cast<std::size_t>(rows * cols));
+  gemm_column_groups(Trans::T, rows, cols, out_c_, w_.value.data(), rows, g,
+                     cols, dcol.data(), cols, /*accumulate=*/false, pix);
+  const float* dc = dcol.data();
+  float* dxd = dx.data();
+  pool.parallel_for_chunked(
+      0, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t s = lo; s < hi; ++s) {
+          const std::int64_t i = static_cast<std::int64_t>(s);
+          col2im(dc + i * pix, cols, in_c_, h, w, k_, k_, stride_, pad_,
                  dxd + i * in_vol);
         }
       },
-      [&](const float* total) {
-        float* gw = w_.grad.data();
-        for (std::size_t r = 0; r < dw_sz; ++r) gw[r] += total[r];
-        if (has_bias_) {
-          float* gb = b_.grad.data();
-          for (std::int64_t c = 0; c < out_c_; ++c) {
-            gb[c] += total[dw_sz + static_cast<std::size_t>(c)];
-          }
-        }
-      });
+      image_grain(rows * pix));
+  // The cached input serves exactly one backward. Releasing it keeps the
+  // fleet's resident sub-models from holding a copy of every conv input
+  // between rounds.
+  cached_input_ = Tensor();
   return dx;
 }
 
@@ -230,8 +249,17 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   NEBULA_CHECK_MSG(!in_shape_.empty(), "MaxPool2d::backward without forward");
   const std::int64_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
                      w = in_shape_[3];
+  const std::int64_t oh = conv_out_size(h, k_, stride_, 0);
+  const std::int64_t ow = conv_out_size(w, k_, stride_, 0);
+  NEBULA_CHECK_MSG(grad_out.rank() == 4 && grad_out.dim(0) == n &&
+                       grad_out.dim(1) == c && grad_out.dim(2) == oh &&
+                       grad_out.dim(3) == ow,
+                   "MaxPool2d::backward expects (" << n << ", " << c << ", "
+                                                   << oh << ", " << ow
+                                                   << "), got "
+                                                   << grad_out.shape_str());
   Tensor dx(in_shape_);
-  const std::int64_t out_hw = grad_out.dim(2) * grad_out.dim(3);
+  const std::int64_t out_hw = oh * ow;
   const float* gy = grad_out.data();
   float* dxd = dx.data();
   // Disjoint dx planes per (sample, channel): the scatter parallelises over
@@ -282,6 +310,11 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   NEBULA_CHECK_MSG(!in_shape_.empty(), "GlobalAvgPool::backward without forward");
   const std::int64_t n = in_shape_[0], c = in_shape_[1],
                      hw = in_shape_[2] * in_shape_[3];
+  NEBULA_CHECK_MSG(grad_out.rank() == 2 && grad_out.dim(0) == n &&
+                       grad_out.dim(1) == c,
+                   "GlobalAvgPool::backward expects (" << n << ", " << c
+                                                       << "), got "
+                                                       << grad_out.shape_str());
   Tensor dx(in_shape_);
   const float inv = 1.0f / static_cast<float>(hw);
   const float* gy = grad_out.data();

@@ -6,6 +6,8 @@
 namespace nebula {
 
 /// 2-D convolution via im2col + GEMM. Weight layout: (out_c, in_c*kh*kw).
+/// backward() consumes the input cached by forward(train=true): each forward
+/// serves one backward, and a second backward throws.
 class Conv2d : public Layer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,

@@ -217,9 +217,11 @@ struct BSource {
   const float* b = nullptr;
   std::int64_t ldb = 0;
   Trans tb = Trans::N;
-  // Im2col source.
+  // Im2col source. row0 is the im2col row of the first output column when
+  // a Trans::T product covers only some of them.
   const float* img = nullptr;
   const Im2colMap* map = nullptr;
+  std::int64_t row0 = 0;
 };
 
 void pack_b_matrix(const BSource& src, std::int64_t p0, std::int64_t j0,
@@ -249,18 +251,49 @@ void pack_b_matrix(const BSource& src, std::int64_t p0, std::int64_t j0,
   }
 }
 
-// Decomposes im2col row index `row` into (channel plane, kernel tap offsets).
+// Decomposes im2col row index `row` into (channel plane offset within an
+// image, kernel tap offsets).
 struct KTap {
-  const float* plane;
+  std::int64_t plane;
   std::int64_t ky, kx;
 };
 
-inline KTap ktap(const float* img, const Im2colMap& m, std::int64_t row) {
+inline KTap ktap(const Im2colMap& m, std::int64_t row) {
   const std::int64_t khw = m.kh * m.kw;
   const std::int64_t c = row / khw;
   const std::int64_t rem = row % khw;
-  return {img + c * m.height * m.width, rem / m.kw, rem % m.kw};
+  return {c * m.height * m.width, rem / m.kw, rem % m.kw};
 }
+
+// Position of a virtual column: output pixel (oy, ox) of image b. Columns
+// run pixel-major within an image and image-major across the batch, so a
+// walk along the columns steps ox, then oy, then b.
+struct PixelCursor {
+  std::int64_t b, oy, ox;
+
+  PixelCursor(const Im2colMap& m, std::int64_t col) {
+    const std::int64_t q = col % m.pixels();
+    b = col / m.pixels();
+    oy = q / m.out_w();
+    ox = q % m.out_w();
+  }
+  // Moves to the start of the next output row (of the next image after the
+  // last row).
+  void next_row(const Im2colMap& m) {
+    ox = 0;
+    if (++oy == m.out_h()) {
+      oy = 0;
+      ++b;
+    }
+  }
+  void next(const Im2colMap& m) {
+    if (++ox == m.out_w()) next_row(m);
+  }
+  const float* plane(const float* img, const Im2colMap& m,
+                     const KTap& t) const {
+    return img + b * m.volume() + t.plane;
+  }
+};
 
 // The ox range whose ix = ox*stride - pad + kx lands inside [0, width), so the
 // per-pixel bounds checks can be hoisted out of the packing inner loops.
@@ -277,10 +310,12 @@ inline OxRange valid_ox(const Im2colMap& m, std::int64_t kx) {
 }
 
 // Packs one (tap row, pixel segment) pair: `count` consecutive pixels starting
-// at (oy, ox), all on output row oy, written to d[0..count) with dst stride
-// `step`. Splits the segment into zero / in-bounds / zero runs so the inner
-// loops carry no branches; in-bounds loads are contiguous when stride == 1.
-inline void pack_tap_segment(const KTap& t, const Im2colMap& m, std::int64_t oy,
+// at (oy, ox), all on output row oy of the image whose channel plane is
+// `plane`, written to d[0..count) with dst stride `step`. Splits the segment
+// into zero / in-bounds / zero runs so the inner loops carry no branches;
+// in-bounds loads are contiguous when stride == 1.
+inline void pack_tap_segment(const float* plane, const KTap& t,
+                             const Im2colMap& m, std::int64_t oy,
                              std::int64_t ox, std::int64_t count, float* d,
                              std::int64_t step) {
   const std::int64_t iy = oy * m.stride - m.pad + t.ky;
@@ -294,7 +329,7 @@ inline void pack_tap_segment(const KTap& t, const Im2colMap& m, std::int64_t oy,
   std::int64_t j = 0;
   for (; j < std::min(lo - ox, count); ++j) d[j * step] = 0.0f;
   if (lo < hi) {
-    const float* s = t.plane + iy * m.width + (lo * m.stride - m.pad + t.kx);
+    const float* s = plane + iy * m.width + (lo * m.stride - m.pad + t.kx);
     if (m.stride == 1) {
       for (std::int64_t i = 0; i < hi - lo; ++i, ++j) d[j * step] = s[i];
     } else {
@@ -306,54 +341,52 @@ inline void pack_tap_segment(const KTap& t, const Im2colMap& m, std::int64_t oy,
   for (; j < count; ++j) d[j * step] = 0.0f;
 }
 
+// Packs `count` consecutive virtual columns of tap row t starting at `at`,
+// cutting the run at every output-row (and hence image) boundary.
+inline void pack_tap_run(const float* img, const KTap& t, const Im2colMap& m,
+                         PixelCursor at, std::int64_t count, float* d,
+                         std::int64_t step) {
+  for (std::int64_t j = 0; j < count;) {
+    const std::int64_t seg = std::min(count - j, m.out_w() - at.ox);
+    pack_tap_segment(at.plane(img, m, t), t, m, at.oy, at.ox, seg,
+                     d + j * step, step);
+    j += seg;
+    at.next_row(m);
+  }
+}
+
 // op(B) = col: panel rows are im2col rows (kernel taps), panel columns are
-// output pixels. Reads the image directly — exactly the elements im2col
-// would have written, in the same pack layout as pack_b_matrix(Trans::N).
+// output pixels of the batch. Reads the images directly — exactly the
+// elements im2col would have written, in the same pack layout as
+// pack_b_matrix(Trans::N).
 void pack_b_im2col_n(const BSource& src, std::int64_t p0, std::int64_t j0,
                      std::int64_t kc, std::int64_t nc, std::int64_t nr,
                      float* dst) {
   const Im2colMap& m = *src.map;
-  const std::int64_t out_w = m.out_w();
   for (std::int64_t jp = 0; jp < nc; jp += nr) {
     const std::int64_t cols = std::min(nr, nc - jp);
+    const PixelCursor first(m, j0 + jp);
     for (std::int64_t p = 0; p < kc; ++p) {
-      const KTap t = ktap(src.img, m, p0 + p);
       float* d = dst + p * nr;
-      std::int64_t oy = (j0 + jp) / out_w;
-      std::int64_t ox = (j0 + jp) % out_w;
-      for (std::int64_t j = 0; j < cols;) {
-        const std::int64_t seg = std::min(cols - j, out_w - ox);
-        pack_tap_segment(t, m, oy, ox, seg, d + j, 1);
-        j += seg;
-        ox = 0;
-        ++oy;
-      }
+      pack_tap_run(src.img, ktap(m, p0 + p), m, first, cols, d, 1);
       for (std::int64_t j = cols; j < nr; ++j) d[j] = 0.0f;
     }
     dst += kc * nr;
   }
 }
 
-// op(B) = col^T: panel rows are output pixels, panel columns are im2col rows.
-// Mirrors pack_b_matrix(Trans::T) element-for-element.
+// op(B) = col^T: panel rows are output pixels of the batch, panel columns
+// are im2col rows. Mirrors pack_b_matrix(Trans::T) element-for-element.
 void pack_b_im2col_t(const BSource& src, std::int64_t p0, std::int64_t j0,
                      std::int64_t kc, std::int64_t nc, std::int64_t nr,
                      float* dst) {
   const Im2colMap& m = *src.map;
-  const std::int64_t out_w = m.out_w();
+  const PixelCursor first(m, p0);
   for (std::int64_t jp = 0; jp < nc; jp += nr) {
     const std::int64_t cols = std::min(nr, nc - jp);
     for (std::int64_t j = 0; j < cols; ++j) {
-      const KTap t = ktap(src.img, m, j0 + jp + j);
-      std::int64_t oy = p0 / out_w;
-      std::int64_t ox = p0 % out_w;
-      for (std::int64_t p = 0; p < kc;) {
-        const std::int64_t seg = std::min(kc - p, out_w - ox);
-        pack_tap_segment(t, m, oy, ox, seg, dst + p * nr + j, nr);
-        p += seg;
-        ox = 0;
-        ++oy;
-      }
+      pack_tap_run(src.img, ktap(m, src.row0 + j0 + jp + j), m, first, kc,
+                   dst + j, nr);
     }
     for (std::int64_t p = 0; p < kc && cols < nr; ++p) {
       for (std::int64_t j = cols; j < nr; ++j) dst[p * nr + j] = 0.0f;
@@ -363,6 +396,13 @@ void pack_b_im2col_t(const BSource& src, std::int64_t p0, std::int64_t j0,
 }
 
 // ---- Naive small-problem paths ----------------------------------------------
+
+inline void zero_c_rows(std::int64_t m, std::int64_t n, float* c,
+                        std::int64_t ldc) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+  }
+}
 
 void gemm_naive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                 std::int64_t k, const float* a, std::int64_t lda,
@@ -424,36 +464,31 @@ void gemm_naive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 // zero-skip on A and the += of out-of-image zeros — so the fused path is
 // bit-identical to materialising col first.
 
+// Virtual column element under tap t at the cursor's pixel.
+inline float im2col_at(const float* img, const Im2colMap& m, const KTap& t,
+                       const PixelCursor& at) {
+  const std::int64_t iy = at.oy * m.stride - m.pad + t.ky;
+  const std::int64_t ix = at.ox * m.stride - m.pad + t.kx;
+  return (iy >= 0 && iy < m.height && ix >= 0 && ix < m.width)
+             ? at.plane(img, m, t)[iy * m.width + ix]
+             : 0.0f;
+}
+
 void gemm_naive_im2col_n(std::int64_t m, std::int64_t n, std::int64_t k,
                          const float* a, std::int64_t lda, const float* img,
                          const Im2colMap& map, float* c, std::int64_t ldc,
                          bool accumulate) {
-  const std::int64_t out_w = map.out_w();
-  if (!accumulate) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
-  }
+  if (!accumulate) zero_c_rows(m, n, c, ldc);
   for (std::int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     for (std::int64_t p = 0; p < k; ++p) {
       const float av = ai[p];
       if (av == 0.0f) continue;
-      const KTap t = ktap(img, map, p);
-      std::int64_t oy = 0, ox = 0;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::int64_t iy = oy * map.stride - map.pad + t.ky;
-        const std::int64_t ix = ox * map.stride - map.pad + t.kx;
-        const float v =
-            (iy >= 0 && iy < map.height && ix >= 0 && ix < map.width)
-                ? t.plane[iy * map.width + ix]
-                : 0.0f;
-        ci[j] += av * v;
-        if (++ox == out_w) {
-          ox = 0;
-          ++oy;
-        }
+      const KTap t = ktap(map, p);
+      PixelCursor at(map, 0);
+      for (std::int64_t j = 0; j < n; ++j, at.next(map)) {
+        ci[j] += av * im2col_at(img, map, t, at);
       }
     }
   }
@@ -463,31 +498,16 @@ void gemm_naive_im2col_t(std::int64_t m, std::int64_t n, std::int64_t k,
                          const float* a, std::int64_t lda, const float* img,
                          const Im2colMap& map, float* c, std::int64_t ldc,
                          bool accumulate) {
-  const std::int64_t out_w = map.out_w();
-  if (!accumulate) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
-  }
+  if (!accumulate) zero_c_rows(m, n, c, ldc);
   for (std::int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     for (std::int64_t j = 0; j < n; ++j) {
-      const KTap t = ktap(img, map, j);
+      const KTap t = ktap(map, j);
       float s = 0.0f;
-      std::int64_t oy = 0, ox = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const std::int64_t iy = oy * map.stride - map.pad + t.ky;
-        const std::int64_t ix = ox * map.stride - map.pad + t.kx;
-        const float v =
-            (iy >= 0 && iy < map.height && ix >= 0 && ix < map.width)
-                ? t.plane[iy * map.width + ix]
-                : 0.0f;
-        s += ai[p] * v;
-        if (++ox == out_w) {
-          ox = 0;
-          ++oy;
-        }
+      PixelCursor at(map, 0);
+      for (std::int64_t p = 0; p < k; ++p, at.next(map)) {
+        s += ai[p] * im2col_at(img, map, t, at);
       }
       ci[j] += s;
     }
@@ -558,13 +578,6 @@ void gemm_blocked(const GemmKernel& ker, Trans ta, std::int64_t m,
   }
 }
 
-inline void zero_c_rows(std::int64_t m, std::int64_t n, float* c,
-                        std::int64_t ldc) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-  }
-}
-
 }  // namespace
 
 // ---- Public entry points ----------------------------------------------------
@@ -625,12 +638,55 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
   gemm_blocked(active_kernel(), ta, m, n, k, a, lda, src, c, ldc, accumulate);
 }
 
+void gemm_column_groups(Trans ta, std::int64_t m, std::int64_t n,
+                        std::int64_t k, const float* a, std::int64_t lda,
+                        const float* b, std::int64_t ldb, float* c,
+                        std::int64_t ldc, bool accumulate, std::int64_t group) {
+  NEBULA_CHECK_MSG(group > 0 && n % group == 0,
+                   "gemm_column_groups: " << n << " columns in groups of "
+                                          << group);
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    if (!accumulate) zero_c_rows(m, n, c, ldc);
+    return;
+  }
+  static obs::Counter& m_calls = obs::counter("gemm.calls");
+  static obs::Counter& m_flops = obs::counter("gemm.flops");
+  m_calls.add(1);
+  m_flops.add(2 * m * n * k);
+  // Classified once for the whole call, as gemm_im2col does.
+  const bool naive = m * n * k <= kNaiveFlopThreshold;
+  if (naive) {
+    static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
+    m_naive.add(1);
+  }
+  const GemmKernel& ker = active_kernel();
+  ThreadPool::global().parallel_for_chunked(
+      0, static_cast<std::size_t>(n / group),
+      [&](std::size_t lo, std::size_t hi) {
+        const std::int64_t j0 = static_cast<std::int64_t>(lo) * group;
+        const std::int64_t nc = static_cast<std::int64_t>(hi - lo) * group;
+        if (naive) {
+          gemm_naive(ta, Trans::N, m, nc, k, a, lda, b + j0, ldb, c + j0, ldc,
+                     accumulate);
+          return;
+        }
+        BSource src;
+        src.pack = &pack_b_matrix;
+        src.b = b + j0;
+        src.ldb = ldb;
+        src.tb = Trans::N;
+        gemm_blocked(ker, ta, m, nc, k, a, lda, src, c + j0, ldc, accumulate);
+      });
+}
+
 void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
                  std::int64_t lda, const float* img, const Im2colMap& map,
                  float* c, std::int64_t ldc, bool accumulate) {
   NEBULA_CHECK(map.channels > 0 && map.kh > 0 && map.kw > 0 && map.stride > 0);
   NEBULA_CHECK_MSG(map.out_h() > 0 && map.out_w() > 0,
                    "gemm_im2col: output collapsed to zero");
+  NEBULA_CHECK_MSG(map.batch > 0, "gemm_im2col: bad batch " << map.batch);
   const std::int64_t n = (trans_col == Trans::N) ? map.cols() : map.rows();
   const std::int64_t k = (trans_col == Trans::N) ? map.rows() : map.cols();
   if (m <= 0) return;
@@ -640,22 +696,63 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
   m_calls.add(1);
   m_flops.add(2 * m * n * k);
   m_fused.add(1);
-  if (m * n * k <= kNaiveFlopThreshold) {
+  // Classified once, from the whole call's volume: were each image chunk
+  // below classified on its own, a pool split could send a small chunk down
+  // the naive path while a 1-worker pool runs the same images blocked, and
+  // the bits would depend on the pool size.
+  const bool naive = m * n * k <= kNaiveFlopThreshold;
+  if (naive) {
     static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
     m_naive.add(1);
-    if (trans_col == Trans::N) {
-      gemm_naive_im2col_n(m, n, k, a, lda, img, map, c, ldc, accumulate);
-    } else {
+  }
+  const GemmKernel& ker = active_kernel();
+  ThreadPool& pool = ThreadPool::global();
+  if (trans_col == Trans::T) {
+    if (naive) {
       gemm_naive_im2col_t(m, n, k, a, lda, img, map, c, ldc, accumulate);
+      return;
     }
+    // The batch is the reduction dimension here, so the product fans out
+    // over its output columns (im2col rows) instead, in whole register
+    // panels; every column still sums its K = batch·pixels terms in one
+    // fixed order.
+    pool.parallel_for_chunked(
+        0, static_cast<std::size_t>(ceil_div(n, ker.nr)),
+        [&](std::size_t lo, std::size_t hi) {
+          const std::int64_t j0 = static_cast<std::int64_t>(lo) * ker.nr;
+          const std::int64_t j1 =
+              std::min(n, static_cast<std::int64_t>(hi) * ker.nr);
+          BSource src;
+          src.pack = &pack_b_im2col_t;
+          src.img = img;
+          src.map = &map;
+          src.row0 = j0;
+          gemm_blocked(ker, Trans::N, m, j1 - j0, k, a, lda, src, c + j0, ldc,
+                       accumulate);
+        });
     return;
   }
-  BSource src;
-  src.pack = (trans_col == Trans::N) ? &pack_b_im2col_n : &pack_b_im2col_t;
-  src.img = img;
-  src.map = &map;
-  gemm_blocked(active_kernel(), Trans::N, m, n, k, a, lda, src, c, ldc,
-               accumulate);
+  // Output columns are independent, so images fan out across the pool.
+  pool.parallel_for_chunked(
+      0, static_cast<std::size_t>(map.batch),
+      [&](std::size_t lo, std::size_t hi) {
+        const std::int64_t b0 = static_cast<std::int64_t>(lo);
+        Im2colMap sub = map;
+        sub.batch = static_cast<std::int64_t>(hi) - b0;
+        const float* sub_img = img + b0 * map.volume();
+        float* sub_c = c + b0 * map.pixels();
+        if (naive) {
+          gemm_naive_im2col_n(m, sub.cols(), k, a, lda, sub_img, sub, sub_c,
+                              ldc, accumulate);
+          return;
+        }
+        BSource src;
+        src.pack = &pack_b_im2col_n;
+        src.img = sub_img;
+        src.map = &sub;
+        gemm_blocked(ker, Trans::N, m, sub.cols(), k, a, lda, src, sub_c, ldc,
+                     accumulate);
+      });
 }
 
 void gemm_batched(Trans ta, Trans tb, const GemmBatchItem* items,

@@ -51,32 +51,57 @@ bool gemm_force_kernel(const char* name);
 
 // ---- Fused im2col -----------------------------------------------------------
 
-/// Geometry of an im2col lowering: the virtual column matrix of a single
-/// NCHW image has rows() = channels*kh*kw and cols() = out_h()*out_w();
-/// element (r, c) is the input pixel under kernel tap r at output pixel c
-/// (zero outside the padded image).
+/// Geometry of an im2col lowering over `batch` NCHW images placed side by
+/// side: the virtual column matrix has rows() = channels*kh*kw and
+/// cols() = batch*pixels(), where pixels() = out_h()*out_w(). Element (r, c)
+/// with c = b*pixels() + q is the input pixel of image b under kernel tap r
+/// at output pixel q (zero outside the padded image). The images lie back to
+/// back, image b starting b*volume() floats past the first.
 struct Im2colMap {
   std::int64_t channels, height, width;
   std::int64_t kh, kw;
   std::int64_t stride, pad;
+  std::int64_t batch = 1;
 
+  std::int64_t volume() const { return channels * height * width; }
   std::int64_t out_h() const { return (height + 2 * pad - kh) / stride + 1; }
   std::int64_t out_w() const { return (width + 2 * pad - kw) / stride + 1; }
+  std::int64_t pixels() const { return out_h() * out_w(); }
   std::int64_t rows() const { return channels * kh * kw; }
-  std::int64_t cols() const { return out_h() * out_w(); }
+  std::int64_t cols() const { return batch * pixels(); }
 };
 
 /// C (+)= A · op(col) where col = im2col(img, map) is never materialised:
-/// the engine's B-packing stage reads straight from the image through the
-/// index map. Bit-identical to materialising col and calling gemm — the
-/// packed panels (and the small-problem path) are element-for-element the
-/// same.
+/// the engine's B-packing stage reads straight from the images through the
+/// index map, crossing image boundaries inside a panel. Bit-identical to
+/// materialising col (each image's im2col side by side) and calling gemm —
+/// the packed panels (and the small-problem path) are element-for-element
+/// the same.
 ///
 ///   trans_col == Trans::N:  C(m, cols) (+)= A(m, rows) · col      (conv fwd)
 ///   trans_col == Trans::T:  C(m, rows) (+)= A(m, cols) · col^T    (conv dW)
+///
+/// The naive-or-blocked choice is made once for the whole call, from the
+/// full m·cols·rows volume. With Trans::N the images may fan out across the
+/// pool at image boundaries; every output column is computed by the same
+/// arithmetic either way, so the bits do not depend on the pool size. With
+/// Trans::T the batch is the reduction dimension; the output columns may fan
+/// out instead, each summing its batch·pixels terms in one fixed order.
 void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
                  std::int64_t lda, const float* img, const Im2colMap& map,
                  float* c, std::int64_t ldc, bool accumulate);
+
+/// C (+)= op(A) · B for a product whose n columns come in groups of `group`
+/// columns (a folded conv batch's images: dcol = Wᵀ · G). Same result as
+/// gemm(ta, Trans::N, ...), but the groups may fan out across the pool. The
+/// naive-or-blocked choice is made once, from the whole m·n·k, and each
+/// column gets the same arithmetic on either side of a split, so the bits
+/// equal one gemm call's and do not depend on the pool size. n must be a
+/// multiple of group.
+void gemm_column_groups(Trans ta, std::int64_t m, std::int64_t n,
+                        std::int64_t k, const float* a, std::int64_t lda,
+                        const float* b, std::int64_t ldb, float* c,
+                        std::int64_t ldc, bool accumulate, std::int64_t group);
 
 // ---- Batched small GEMM -----------------------------------------------------
 

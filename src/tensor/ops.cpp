@@ -221,16 +221,17 @@ std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
 
 void im2col(const float* img, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* col) {
+            std::int64_t stride, std::int64_t pad, float* col,
+            std::int64_t ldcol) {
   const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
   const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  const std::int64_t out_hw = out_h * out_w;
+  NEBULA_CHECK(ldcol >= out_h * out_w);
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < channels; ++c) {
     const float* ic = img + c * height * width;
     for (std::int64_t ky = 0; ky < kh; ++ky) {
       for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        float* crow = col + row * out_hw;
+        float* crow = col + row * ldcol;
         for (std::int64_t oy = 0; oy < out_h; ++oy) {
           const std::int64_t iy = oy * stride - pad + ky;
           if (iy < 0 || iy >= height) {
@@ -249,19 +250,20 @@ void im2col(const float* img, std::int64_t channels, std::int64_t height,
   }
 }
 
-void col2im(const float* col, std::int64_t channels, std::int64_t height,
-            std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* img) {
+void col2im(const float* col, std::int64_t ldcol, std::int64_t channels,
+            std::int64_t height, std::int64_t width, std::int64_t kh,
+            std::int64_t kw, std::int64_t stride, std::int64_t pad,
+            float* img) {
   const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
   const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  const std::int64_t out_hw = out_h * out_w;
+  NEBULA_CHECK(ldcol >= out_h * out_w);
   std::fill(img, img + channels * height * width, 0.0f);
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < channels; ++c) {
     float* ic = img + c * height * width;
     for (std::int64_t ky = 0; ky < kh; ++ky) {
       for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* crow = col + row * out_hw;
+        const float* crow = col + row * ldcol;
         for (std::int64_t oy = 0; oy < out_h; ++oy) {
           const std::int64_t iy = oy * stride - pad + ky;
           if (iy < 0 || iy >= height) continue;

@@ -70,16 +70,22 @@ std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
 
 // ---- Convolution support ----------------------------------------------------
 
-/// im2col for NCHW input. Produces a (C*kh*kw, out_h*out_w) matrix for one
-/// image: column j holds the receptive field of output pixel j.
+/// im2col for NCHW input. Writes the (C*kh*kw, out_h*out_w) column matrix of
+/// one image, row r at col + r*ldcol: column j holds the receptive field of
+/// output pixel j. ldcol >= out_h*out_w; a larger ldcol places the image's
+/// columns inside a wider matrix (a batch side by side).
 void im2col(const float* img, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* col);
+            std::int64_t stride, std::int64_t pad, float* col,
+            std::int64_t ldcol);
 
-/// Inverse scatter-add of im2col (for input gradients).
-void col2im(const float* col, std::int64_t channels, std::int64_t height,
-            std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t stride, std::int64_t pad, float* img);
+/// Inverse scatter-add of im2col (for input gradients): overwrites img with
+/// the sum of every column element that im2col would have read from it.
+/// Reads rows of col at stride ldcol, like im2col writes them.
+void col2im(const float* col, std::int64_t ldcol, std::int64_t channels,
+            std::int64_t height, std::int64_t width, std::int64_t kh,
+            std::int64_t kw, std::int64_t stride, std::int64_t pad,
+            float* img);
 
 /// Output spatial size for a conv/pool dimension.
 inline std::int64_t conv_out_size(std::int64_t in, std::int64_t k,

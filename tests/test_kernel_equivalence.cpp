@@ -7,8 +7,10 @@
 //  * SIMD vs portable: the dispatched micro-kernel against the pinned
 //    portable kernel across remainder shapes around every tile boundary
 //    (tolerance-compared — FMA contraction is the only permitted difference);
+//  * Conv2d against a direct convolution accumulated in double: forward,
+//    dx, dW and db;
 //  * fused im2col vs explicit: gemm_im2col against materialise-then-gemm,
-//    bit-identical;
+//    bit-identical, on single- and multi-image maps;
 //  * gemm_batched vs looped gemm, bit-identical.
 //
 // CTest runs this binary twice (label `kernels`): once with runtime dispatch
@@ -182,19 +184,47 @@ struct ConvCase {
   std::int64_t in_c, out_c, h, w, k, stride, pad, batch;
 };
 
+// Generic conv geometries: odd channels, stride, rectangular maps, 5x5 and
+// 1x1 kernels.
+const ConvCase kConvCases[] = {
+    {3, 5, 9, 9, 3, 1, 1, 5},   // odd channels, pad
+    {1, 7, 11, 7, 3, 2, 0, 3},  // stride 2, rectangular
+    {5, 3, 7, 13, 5, 2, 2, 4},  // 5x5 kernel, stride+pad
+    {2, 4, 8, 8, 1, 1, 0, 7},   // 1x1 kernel, odd batch
+};
+
+// The ResNet18-style model's conv shapes (3x3, pad 1) at the batch sizes a
+// round hands them: the full local batch for the stem and bridge, a few
+// routed samples for a module.
+const ConvCase kResnetConvCases[] = {
+    {3, 8, 8, 8, 3, 1, 1, 16},  // stem, 8x8
+    {8, 16, 4, 4, 3, 2, 1, 16}, // bridge, stride 2: 4x4 -> 2x2
+    {8, 4, 4, 4, 3, 1, 1, 5},   // module conv at 4x4, routed sub-batch
+    {16, 16, 2, 2, 3, 1, 1, 3}, // module conv at 2x2, routed sub-batch
+};
+
 TEST(ConvEquivalence, ForwardBackwardSerialVsParallel) {
-  const ConvCase cases[] = {
-      {3, 5, 9, 9, 3, 1, 1, 5},   // odd channels, pad
-      {1, 7, 11, 7, 3, 2, 0, 3},  // stride 2, rectangular
-      {5, 3, 7, 13, 5, 2, 2, 4},  // 5x5 kernel, stride+pad
-      {2, 4, 8, 8, 1, 1, 0, 7},   // 1x1 kernel, odd batch
-  };
+  // Besides the generic and ResNet shapes, cases whose per-worker image
+  // chunks sit on the other side of the naive/blocked threshold than the
+  // whole batch (3x3, pad 1, 2x2 maps): 8->4 at batch 8 is blocked as a
+  // whole (4·32·72 MACs) but naive per 4-image chunk; 8->8 at batch 7 is
+  // blocked as a whole and per 4-image chunk but naive per 3-, 2- or 1-image
+  // chunk. 8->4 at batch 7 (4·28·72 = 8064 MACs) is naive as a whole. Every
+  // pool size must reproduce the serial bits, which holds only if the
+  // naive-or-blocked choice is made once per call.
+  std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+  cases.insert(cases.end(), std::begin(kResnetConvCases),
+               std::end(kResnetConvCases));
+  cases.push_back({8, 4, 2, 2, 3, 1, 1, 7});
+  cases.push_back({8, 4, 2, 2, 3, 1, 1, 8});
+  cases.push_back({8, 8, 2, 2, 3, 1, 1, 7});
   Rng rng(99);
   for (const auto& cc : cases) {
     SCOPED_TRACE(testing::Message()
                  << "conv in_c=" << cc.in_c << " out_c=" << cc.out_c
                  << " h=" << cc.h << " w=" << cc.w << " k=" << cc.k
-                 << " stride=" << cc.stride << " pad=" << cc.pad);
+                 << " stride=" << cc.stride << " pad=" << cc.pad
+                 << " batch=" << cc.batch);
     Conv2d conv(cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad);
     Tensor x({cc.batch, cc.in_c, cc.h, cc.w});
     fill_random(x, rng);
@@ -211,8 +241,8 @@ TEST(ConvEquivalence, ForwardBackwardSerialVsParallel) {
       dw1 = conv.params()[0]->grad;
       db1 = conv.params()[1]->grad;
     }
-    // Backward's dW/db reduction goes through the chunk-indexed
-    // reduce_ordered arena, so — like the disjoint-write forward — every
+    // Forward and dx may split the batch across workers at image
+    // boundaries and dW its output columns; db is one serial sum. Every
     // pool size must reproduce the serial bits exactly.
     for (std::size_t workers : {2u, 4u, 7u}) {
       SCOPED_TRACE(testing::Message() << "workers=" << workers);
@@ -224,6 +254,102 @@ TEST(ConvEquivalence, ForwardBackwardSerialVsParallel) {
       expect_bits(dxn, dx1, "conv dx");
       expect_bits(conv.params()[0]->grad, dw1, "conv dW");
       expect_bits(conv.params()[1]->grad, db1, "conv db");
+    }
+  }
+}
+
+// Direct nested-loop convolution accumulated in double: the ground truth for
+// Conv2d's forward and its three gradients. Each output also carries the sum
+// of the magnitudes of the terms it adds up — the scale of float summation
+// error — so the comparison is relative even where the terms cancel.
+struct Accum {
+  std::vector<double> sum, mag;
+  explicit Accum(std::int64_t n)
+      : sum(static_cast<std::size_t>(n)), mag(static_cast<std::size_t>(n)) {}
+  void add(std::int64_t i, double term) {
+    sum[static_cast<std::size_t>(i)] += term;
+    mag[static_cast<std::size_t>(i)] += std::fabs(term);
+  }
+};
+
+void expect_rel(const Tensor& got, const Accum& want, double rel,
+                const char* what) {
+  ASSERT_EQ(static_cast<std::size_t>(got.numel()), want.sum.size()) << what;
+  for (std::size_t i = 0; i < want.sum.size(); ++i) {
+    ASSERT_LE(std::fabs(got[i] - want.sum[i]), rel * want.mag[i])
+        << what << " at " << i << ": got " << got[i] << " want "
+        << want.sum[i];
+  }
+}
+
+TEST(ConvReference, MatchesDirectConvolutionInDouble) {
+  std::vector<ConvCase> cases(std::begin(kConvCases), std::end(kConvCases));
+  cases.insert(cases.end(), std::begin(kResnetConvCases),
+               std::end(kResnetConvCases));
+  cases.push_back({3, 8, 8, 8, 3, 1, 1, 1});   // batch 1
+  cases.push_back({8, 16, 4, 4, 3, 2, 1, 3});  // odd batch, stride 2
+  cases.push_back({16, 16, 2, 2, 3, 1, 1, 9}); // odd batch, blocked products
+  Rng rng(2718);
+  for (const auto& cc : cases) {
+    for (const bool bias : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "conv in_c=" << cc.in_c << " out_c=" << cc.out_c
+                   << " h=" << cc.h << " w=" << cc.w << " k=" << cc.k
+                   << " stride=" << cc.stride << " pad=" << cc.pad
+                   << " batch=" << cc.batch << " bias=" << bias);
+      Conv2d conv(cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, bias);
+      Tensor& wgt = conv.params()[0]->value;
+      if (bias) fill_random(conv.params()[1]->value, rng);
+      Tensor x({cc.batch, cc.in_c, cc.h, cc.w});
+      fill_random(x, rng);
+      const auto os = conv.out_shape(x.shape());
+      const std::int64_t oh = os[2], ow = os[3], kk = cc.k * cc.k;
+      Tensor gy(os);
+      fill_random(gy, rng);
+
+      Accum y(gy.numel()), dx(x.numel()), dw(wgt.numel()), db(cc.out_c);
+      for (std::int64_t b = 0; b < cc.batch; ++b) {
+        for (std::int64_t o = 0; o < cc.out_c; ++o) {
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t yi = ((b * cc.out_c + o) * oh + oy) * ow + ox;
+              const double g = gy[static_cast<std::size_t>(yi)];
+              if (bias) {
+                y.add(yi, conv.params()[1]->value[static_cast<std::size_t>(o)]);
+              }
+              db.add(o, g);
+              for (std::int64_t c = 0; c < cc.in_c; ++c) {
+                for (std::int64_t ky = 0; ky < cc.k; ++ky) {
+                  const std::int64_t iy = oy * cc.stride - cc.pad + ky;
+                  if (iy < 0 || iy >= cc.h) continue;
+                  for (std::int64_t kx = 0; kx < cc.k; ++kx) {
+                    const std::int64_t ix = ox * cc.stride - cc.pad + kx;
+                    if (ix < 0 || ix >= cc.w) continue;
+                    const std::int64_t xi =
+                        ((b * cc.in_c + c) * cc.h + iy) * cc.w + ix;
+                    const std::int64_t wi = o * cc.in_c * kk + c * kk +
+                                            ky * cc.k + kx;
+                    const double xv = x[static_cast<std::size_t>(xi)];
+                    const double wv = wgt[static_cast<std::size_t>(wi)];
+                    y.add(yi, wv * xv);
+                    dw.add(wi, g * xv);
+                    dx.add(xi, g * wv);
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+
+      conv.zero_grad();
+      const Tensor got_y = conv.forward(x, true);
+      const Tensor got_dx = conv.backward(gy);
+      expect_rel(got_y, y, 1e-4, "conv forward");
+      expect_rel(got_dx, dx, 1e-4, "conv dx");
+      expect_rel(conv.params()[0]->grad, dw, 1e-4, "conv dW");
+      if (bias) expect_rel(conv.params()[1]->grad, db, 1e-4, "conv db");
+      EXPECT_EQ(conv.params().size(), bias ? 2u : 1u);
     }
   }
 }
@@ -336,32 +462,44 @@ TEST(KernelDispatch, SimdVsPortableAcrossRemainderShapes) {
 
 // gemm_im2col must produce exactly the bits of materialise-col-then-gemm:
 // the packed panels (and the naive paths) read identical elements in
-// identical order, so this is equality, not tolerance.
+// identical order, so this is equality, not tolerance. A multi-image map is
+// compared against each image's explicit im2col placed side by side along
+// the columns.
 TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
   const ConvCase cases[] = {
       {3, 5, 9, 9, 3, 1, 1, 1},    // small: naive path
       {1, 4, 7, 5, 3, 2, 0, 1},    // stride 2, no pad
       {4, 6, 17, 13, 5, 2, 2, 1},  // 5x5 taps, rectangular
       {8, 16, 19, 19, 3, 1, 1, 1},  // blocked path (beats the flop threshold)
+      // Multi-image maps. P (pixels per image) is no multiple of any NR, so
+      // register panels straddle images.
+      {2, 3, 3, 3, 3, 2, 1, 3},    // 2x2 maps, stride 2 + pad: naive
+      {4, 6, 7, 5, 3, 2, 1, 5},    // 4x3 maps, stride 2 + pad: blocked
+      {8, 16, 9, 9, 3, 1, 1, 4},   // K = 324 for dW: a KC block straddles
+      {2, 4, 10, 10, 3, 1, 1, 7},  // N = K = 700: NC and KC blocks straddle
   };
   Rng rng(4242);
   for (const auto& cc : cases) {
-    const Im2colMap map{cc.in_c, cc.h, cc.w, cc.k, cc.k, cc.stride, cc.pad};
+    const Im2colMap map{cc.in_c, cc.h,      cc.w,   cc.k,
+                        cc.k,    cc.stride, cc.pad, cc.batch};
     const std::int64_t rows = map.rows(), cols = map.cols();
-    Tensor x({cc.in_c, cc.h, cc.w}), wgt({cc.out_c, rows}), gy({cc.out_c,
-                                                                cols});
+    const std::int64_t pix = map.pixels();
+    Tensor x({cc.batch, cc.in_c, cc.h, cc.w}), wgt({cc.out_c, rows}),
+        gy({cc.out_c, cols});
     fill_random(x, rng);
     fill_random(wgt, rng);
     fill_random(gy, rng);
     Tensor col({rows, cols});
-    im2col(x.data(), cc.in_c, cc.h, cc.w, cc.k, cc.k, cc.stride, cc.pad,
-           col.data());
+    for (std::int64_t b = 0; b < cc.batch; ++b) {
+      im2col(x.data() + b * map.volume(), cc.in_c, cc.h, cc.w, cc.k, cc.k,
+             cc.stride, cc.pad, col.data() + b * pix, cols);
+    }
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ScopedPool scope(threads);
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " in_c=" << cc.in_c
                    << " k=" << cc.k << " stride=" << cc.stride
-                   << " pad=" << cc.pad);
+                   << " pad=" << cc.pad << " batch=" << cc.batch);
       // Forward product: C(out_c, cols) = W · col.
       Tensor want({cc.out_c, cols}), got({cc.out_c, cols});
       gemm(Trans::N, Trans::N, cc.out_c, cols, rows, wgt.data(), rows,
@@ -382,6 +520,59 @@ TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
                         "fused dW");
     }
   }
+}
+
+// gemm_column_groups must give one gemm call's bits on every pool: the
+// groups fan out, but the naive-or-blocked choice is made for the whole call.
+// {m, n = groups·group, k, group}: Trans::T is conv dx's dcol = Wᵀ · G.
+TEST(GemmColumnGroups, BitIdenticalToGemmAcrossPools) {
+  struct Shape {
+    std::int64_t m, groups, group, k;
+  };
+  const Shape shapes[] = {
+      {72, 7, 4, 4},    // naive as a whole (8064 MACs)
+      {72, 8, 4, 4},    // blocked as a whole, naive per 2-group chunk
+      {144, 4, 4, 16},  // module conv 16->16 at 2x2
+      {72, 16, 64, 8},  // 8x8 maps, batch 16
+      {27, 5, 33, 7},   // group no multiple of any NR
+  };
+  Rng rng(5150);
+  for (const auto& s : shapes) {
+    const std::int64_t n = s.groups * s.group;
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      SCOPED_TRACE(testing::Message()
+                   << "m=" << s.m << " n=" << n << " k=" << s.k
+                   << " group=" << s.group
+                   << " ta=" << (ta == Trans::T ? "T" : "N"));
+      Tensor a(ta == Trans::N ? std::vector<std::int64_t>{s.m, s.k}
+                              : std::vector<std::int64_t>{s.k, s.m});
+      Tensor b({s.k, n}), c0({s.m, n});
+      fill_random(a, rng);
+      fill_random(b, rng);
+      fill_random(c0, rng);
+      const std::int64_t lda = a.dim(1);
+      for (const bool accumulate : {false, true}) {
+        Tensor want = c0;
+        {
+          ScopedPool scope(1);
+          gemm(ta, Trans::N, s.m, n, s.k, a.data(), lda, b.data(), n,
+               want.data(), n, accumulate);
+        }
+        for (std::size_t workers : {1u, 2u, 4u, 7u}) {
+          ScopedPool scope(workers);
+          Tensor got = c0;
+          gemm_column_groups(ta, s.m, n, s.k, a.data(), lda, b.data(), n,
+                             got.data(), n, accumulate, s.group);
+          expect_bits_equal(got.data(), want.data(), got.numel(),
+                            accumulate ? "accumulate" : "overwrite");
+        }
+      }
+    }
+  }
+  Tensor a({4, 4}), b({4, 6}), c({4, 6});
+  EXPECT_THROW(gemm_column_groups(Trans::N, 4, 6, 4, a.data(), 4, b.data(), 6,
+                                  c.data(), 6, false, 4),
+               std::runtime_error);
 }
 
 TEST(GemmBatched, BitIdenticalToLoopedGemm) {

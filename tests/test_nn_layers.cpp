@@ -156,6 +156,24 @@ TEST(Conv2d, RejectsWrongChannelCount) {
   EXPECT_THROW(conv.forward(x, false), std::runtime_error);
 }
 
+TEST(Conv2d, BackwardConsumesCachedInput) {
+  // Resident device sub-models keep their layers between rounds, so the
+  // input cached for backward is released once backward has used it.
+  Conv2d conv(2, 3, 3, 1, 1);
+  Rng rng(4);
+  Tensor x({2, 2, 4, 4});
+  fill_random(x, rng);
+  const Tensor gy(conv.out_shape(x.shape()));
+  EXPECT_THROW(conv.backward(gy), std::runtime_error);
+  conv.forward(x, true);
+  EXPECT_NO_THROW(conv.backward(gy));
+  EXPECT_THROW(conv.backward(gy), std::runtime_error);
+  conv.forward(x, false);  // inference caches nothing
+  EXPECT_THROW(conv.backward(gy), std::runtime_error);
+  conv.forward(x, true);
+  EXPECT_NO_THROW(conv.backward(gy));
+}
+
 TEST(MaxPool2d, SelectsWindowMaximum) {
   MaxPool2d pool(2);
   Tensor x({1, 1, 4, 4},
@@ -179,6 +197,19 @@ TEST(MaxPool2d, GradientsMatchNumerical) {
   check_layer_gradients(pool, x);
 }
 
+TEST(MaxPool2d, BackwardRejectsMismatchedGradient) {
+  // A gradient whose N or C (or spatial size) disagrees with the cached
+  // input would index past argmax_ and grad_out; it must throw instead.
+  MaxPool2d pool(2);
+  Tensor x({2, 3, 4, 4});
+  pool.forward(x, true);
+  EXPECT_THROW(pool.backward(Tensor({3, 3, 2, 2})), std::runtime_error);
+  EXPECT_THROW(pool.backward(Tensor({2, 4, 2, 2})), std::runtime_error);
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 3, 2})), std::runtime_error);
+  EXPECT_THROW(pool.backward(Tensor({2, 3, 4})), std::runtime_error);
+  EXPECT_NO_THROW(pool.backward(Tensor({2, 3, 2, 2})));
+}
+
 TEST(GlobalAvgPool, AveragesPlane) {
   GlobalAvgPool gap;
   Tensor x({1, 2, 2, 2}, {1, 2, 3, 4, 10, 20, 30, 40});
@@ -194,6 +225,16 @@ TEST(GlobalAvgPool, GradientsMatchNumerical) {
   Tensor x({2, 3, 3, 3});
   fill_random(x, rng);
   check_layer_gradients(gap, x);
+}
+
+TEST(GlobalAvgPool, BackwardRejectsMismatchedGradient) {
+  GlobalAvgPool gap;
+  Tensor x({2, 3, 3, 3});
+  gap.forward(x, true);
+  EXPECT_THROW(gap.backward(Tensor({3, 3})), std::runtime_error);
+  EXPECT_THROW(gap.backward(Tensor({2, 4})), std::runtime_error);
+  EXPECT_THROW(gap.backward(Tensor({2, 3, 1, 1})), std::runtime_error);
+  EXPECT_NO_THROW(gap.backward(Tensor({2, 3})));
 }
 
 TEST(BatchNorm, NormalisesTrainingBatch) {

@@ -222,7 +222,7 @@ TEST(Im2Col, IdentityKernelReproducesImage) {
   Tensor img({2, 4, 4});
   fill_random(img, rng);
   Tensor col({2, 16});
-  im2col(img.data(), 2, 4, 4, 1, 1, 1, 0, col.data());
+  im2col(img.data(), 2, 4, 4, 1, 1, 1, 0, col.data(), 16);
   testutil::expect_tensor_near(col, Tensor({2, 16}, img.storage()));
 }
 
@@ -230,7 +230,7 @@ TEST(Im2Col, PaddingProducesZeroBorder) {
   Tensor img({1, 2, 2}, {1, 2, 3, 4});
   // 3x3 kernel, pad 1 -> out 2x2, col is (9, 4).
   Tensor col({9, 4});
-  im2col(img.data(), 1, 2, 2, 3, 3, 1, 1, col.data());
+  im2col(img.data(), 1, 2, 2, 3, 3, 1, 1, col.data(), 4);
   // First row = kernel position (0,0): all outputs read padded region except
   // output pixel (1,1) which reads img(0,0)=1.
   EXPECT_EQ(col.at(0, 0), 0.0f);
@@ -249,11 +249,11 @@ TEST(Im2Col, Col2ImAdjointProperty) {
   Tensor x({c, h, w});
   fill_random(x, rng);
   Tensor col({c * k * k, oh * ow});
-  im2col(x.data(), c, h, w, k, k, stride, pad, col.data());
+  im2col(x.data(), c, h, w, k, k, stride, pad, col.data(), oh * ow);
   Tensor y(col.shape());
   fill_random(y, rng);
   Tensor back({c, h, w});
-  col2im(y.data(), c, h, w, k, k, stride, pad, back.data());
+  col2im(y.data(), oh * ow, c, h, w, k, k, stride, pad, back.data());
   EXPECT_NEAR(dot(col, y), dot(x, back), 1e-3);
 }
 
