@@ -40,34 +40,38 @@ int main() {
   std::fprintf(stderr, "figure: fault sweep cell (HAR, 30%% dropout)…\n");
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/9300);
-    FaultConfig fc;
-    fc.dropout_prob = 0.3;
-    fc.straggler_prob = 0.1;
-    fc.transfer_failure_prob = 0.05;
-    fc.seed = 9400;
-    run_fault_comparison(env, scale, fc, /*seed=*/9500);
+    ScenarioSpec scenario;
+    scenario.faults.dropout_prob = 0.3;
+    scenario.faults.straggler_prob = 0.1;
+    scenario.faults.transfer_failure_prob = 0.05;
+    scenario.faults.seed = 9400;
+    run_scenario(env, scale, scenario, /*seed=*/9500);
   }
 
   std::fprintf(stderr,
                "figure: byzantine cell (HAR, 30%% sign-flip, trimmed mean)…\n");
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/9600);
-    FaultConfig fc;
-    fc.byzantine_fraction = 0.3;
-    fc.byzantine_kind = ByzantineKind::kSignFlip;
-    fc.num_devices = scale.devices;
-    fc.seed = 9700;
-    RobustAggregationConfig robust;
-    robust.kind = RobustAggregatorKind::kTrimmedMean;
-    robust.anomaly_threshold = 4.0;
-    run_byzantine_comparison(env, scale, fc, robust, /*seed=*/9800);
+    ScenarioSpec scenario;
+    scenario.label = "byzantine";
+    scenario.faults.byzantine_fraction = 0.3;
+    scenario.faults.byzantine_kind = ByzantineKind::kSignFlip;
+    scenario.faults.num_devices = scale.devices;
+    scenario.faults.seed = 9700;
+    scenario.robust.kind = RobustAggregatorKind::kTrimmedMean;
+    scenario.robust.anomaly_threshold = 4.0;
+    run_scenario(env, scale, scenario, /*seed=*/9800);
   }
 
   std::fprintf(stderr, "figure: drift cell (HAR, 50%% drift, 10%% churn)…\n");
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/9900);
-    run_drift_comparison(env, scale, /*drift_rate=*/0.5f, /*churn_prob=*/0.1f,
-                         /*seed=*/10000);
+    ScenarioSpec scenario;
+    scenario.label = "drift";
+    scenario.drift_rate = 0.5f;
+    scenario.churn_prob = 0.1f;
+    scenario.monitor_dynamics = true;
+    run_scenario(env, scale, scenario, /*seed=*/10000);
   }
 
   // Flight-recorder cost check (DESIGN.md §14): the same fault cell with the
@@ -79,16 +83,16 @@ int main() {
   // ratio creep.
   std::fprintf(stderr, "figure: obs overhead (fault cell, recorder off/on)…\n");
   double obs_off_s = 0.0, obs_on_s = 0.0;
-  FaultConfig obs_fc;
-  obs_fc.dropout_prob = 0.3;
-  obs_fc.straggler_prob = 0.1;
-  obs_fc.transfer_failure_prob = 0.05;
-  obs_fc.seed = 9400;
+  ScenarioSpec obs_scenario;
+  obs_scenario.faults.dropout_prob = 0.3;
+  obs_scenario.faults.straggler_prob = 0.1;
+  obs_scenario.faults.transfer_failure_prob = 0.05;
+  obs_scenario.faults.seed = 9400;
   {
     obs::recorder().set_enabled(false);
     TaskEnv env = make_task_env(spec, scale, /*seed=*/9300);
     obs::WallTimer wall;
-    run_fault_comparison(env, scale, obs_fc, /*seed=*/9500);
+    run_scenario(env, scale, obs_scenario, /*seed=*/9500);
     obs_off_s = wall.elapsed_s();
   }
   {
@@ -96,7 +100,7 @@ int main() {
     obs::recorder().reset();
     TaskEnv env = make_task_env(spec, scale, /*seed=*/9300);
     obs::WallTimer wall;
-    run_fault_comparison(env, scale, obs_fc, /*seed=*/9500);
+    run_scenario(env, scale, obs_scenario, /*seed=*/9500);
     obs_on_s = wall.elapsed_s();
     obs::recorder().set_enabled(false);
   }

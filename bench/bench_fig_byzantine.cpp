@@ -32,13 +32,17 @@ int main() {
       static_cast<long long>(scale.devices_per_round),
       static_cast<long long>(2 * scale.warm_rounds));
 
-  auto attack = [&](ByzantineKind kind, double fraction) {
-    FaultConfig fc;
-    fc.byzantine_fraction = fraction;
-    fc.byzantine_kind = kind;
-    fc.num_devices = scale.devices;  // exact attacker count, not binomial
-    fc.seed = 8200;
-    return fc;
+  auto attack = [&](ByzantineKind kind, double fraction,
+                    const RobustAggregationConfig& robust) {
+    ScenarioSpec scenario;
+    scenario.label = "byzantine";
+    scenario.faults.byzantine_fraction = fraction;
+    scenario.faults.byzantine_kind = kind;
+    // Exact attacker count, not binomial.
+    scenario.faults.num_devices = scale.devices;
+    scenario.faults.seed = 8200;
+    scenario.robust = robust;
+    return scenario;
   };
 
   // ---- Aggregator sweep under a 30% colluding sign-flip attack ---------------
@@ -70,9 +74,9 @@ int main() {
   };
   for (const AggCell& cell : cells) {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8100);
-    const FaultConfig fc = attack(ByzantineKind::kSignFlip, cell.fraction);
-    ByzantineSweepResult r =
-        run_byzantine_comparison(env, scale, fc, cell.robust, 8300);
+    const ScenarioSpec scenario =
+        attack(ByzantineKind::kSignFlip, cell.fraction, cell.robust);
+    ScenarioResult r = run_scenario(env, scale, scenario, 8300);
     for (const RoundReport& rep : r.round_reports) {
       std::printf("  %s\n", rep.summary().c_str());
     }
@@ -94,8 +98,8 @@ int main() {
                                  ByzantineKind::kSameDirection};
   for (ByzantineKind kind : kinds) {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8100);
-    ByzantineSweepResult r = run_byzantine_comparison(
-        env, scale, attack(kind, 0.3), trimmed, 8300);
+    ScenarioResult r =
+        run_scenario(env, scale, attack(kind, 0.3, trimmed), 8300);
     kind_table.add_row({byzantine_kind_name(kind),
                         Table::num(r.nebula_acc * 100, 2),
                         Table::num(r.fedavg_acc * 100, 2),
@@ -114,9 +118,9 @@ int main() {
   obs::recorder().set_enabled(true);
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8100);
-    ByzantineSweepResult r = run_byzantine_comparison(
-        env, scale, attack(ByzantineKind::kSignFlip, 0.3), trimmed, 8300,
-        /*attack_onset_round=*/onset);
+    ScenarioSpec scenario = attack(ByzantineKind::kSignFlip, 0.3, trimmed);
+    scenario.onset_round = onset;
+    ScenarioResult r = run_scenario(env, scale, scenario, 8300);
     Table alert_table({"Round", "Monitor", "Reason", "Value", "Baseline"});
     std::int64_t first_alert = -1;
     for (const obs::Alert& a : r.alerts) {

@@ -33,8 +33,12 @@ int main() {
   const Cell cells[] = {{0.0f, 0.0f}, {0.5f, 0.0f}, {0.5f, 0.2f}};
   for (const Cell& cell : cells) {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8700);
-    DriftSweepResult r =
-        run_drift_comparison(env, scale, cell.drift, cell.churn, 8800);
+    ScenarioSpec scenario;
+    scenario.label = "drift";
+    scenario.drift_rate = cell.drift;
+    scenario.churn_prob = cell.churn;
+    scenario.monitor_dynamics = true;
+    ScenarioResult r = run_scenario(env, scale, scenario, 8800);
     for (const RoundReport& rep : r.round_reports) {
       std::printf("  %s\n", rep.summary().c_str());
     }
@@ -60,10 +64,13 @@ int main() {
   obs::recorder().set_enabled(true);
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8700);
-    DriftSweepResult r =
-        run_drift_comparison(env, scale, /*drift_rate=*/1.0f,
-                             /*churn_prob=*/0.5f, 8800,
-                             /*drift_onset_round=*/onset);
+    ScenarioSpec scenario;
+    scenario.label = "drift";
+    scenario.drift_rate = 1.0f;
+    scenario.churn_prob = 0.5f;
+    scenario.onset_round = onset;
+    scenario.monitor_dynamics = true;
+    ScenarioResult r = run_scenario(env, scale, scenario, 8800);
     std::printf("  probe accuracy:");
     for (std::size_t i = 0; i < r.probe_accuracy.size(); ++i) {
       std::printf(" %.3f%s", r.probe_accuracy[i],

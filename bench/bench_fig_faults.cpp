@@ -42,7 +42,9 @@ int main() {
     fc.transfer_failure_prob = p > 0.0 ? 0.05 : 0.0;
     fc.degraded_link_prob = p > 0.0 ? 0.1 : 0.0;
     fc.seed = 7200 + static_cast<std::uint64_t>(p * 100);
-    FaultSweepResult r = run_fault_comparison(env, scale, fc, 7300);
+    ScenarioSpec scenario;
+    scenario.faults = fc;
+    ScenarioResult r = run_scenario(env, scale, scenario, 7300);
     for (const RoundReport& rep : r.round_reports) {
       std::printf("  %s\n", rep.summary().c_str());
     }
@@ -66,7 +68,9 @@ int main() {
     FaultConfig fc;
     fc.corruption_prob = p;
     fc.seed = 7500 + static_cast<std::uint64_t>(p * 100);
-    FaultSweepResult r = run_fault_comparison(env, scale, fc, 7600);
+    ScenarioSpec scenario;
+    scenario.faults = fc;
+    ScenarioResult r = run_scenario(env, scale, scenario, 7600);
     for (const RoundReport& rep : r.round_reports) {
       std::printf("  %s\n", rep.summary().c_str());
     }

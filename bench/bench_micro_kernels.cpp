@@ -331,7 +331,7 @@ void BM_ModuleWiseAggregation(benchmark::State& state) {
         *sub, {std::vector<double>(16, 1.0 / 16)}, 100));
   }
   for (auto _ : state) {
-    aggregate_module_wise(*zm.model, updates);
+    aggregate_module_wise_robust(*zm.model, updates);
   }
 }
 BENCHMARK(BM_ModuleWiseAggregation);

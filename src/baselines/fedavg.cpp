@@ -41,54 +41,35 @@ std::vector<std::int64_t> FedAvg::round() {
     std::vector<float> state;
     double weight = 0.0;
     CommLedger ledger;
-    std::exception_ptr error;
   };
   std::vector<Slot> slots(pick.size());
   ThreadPool::global().parallel_for(
       0, pick.size(),
       [&](std::size_t i) {
         Slot& slot = slots[i];
-        try {
-          const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-          const DeviceFate fate =
-              faults_ ? faults_->device_fate(round_idx, k) : DeviceFate{};
-          if (fate.dropped) return;
-          const std::int64_t region =
-              static_cast<std::size_t>(k) < regions_.size()
-                  ? regions_[static_cast<std::size_t>(k)]
-                  : 0;
-          if (faults_ && faults_->regional_outage(round_idx, region)) return;
-          slot.ledger.record_download(bytes);
-          auto local = global_->clone();
-          TrainConfig cfg = cfg_.local;
-          cfg.seed =
-              derive_stream_seed(cfg_.seed, round_idx, k, kFedAvgTrainSalt);
-          train_plain(*local, pop_.local_data(k), cfg);
-          if (fate.crashes_before_upload) return;
-          slot.ledger.record_upload(bytes);
-          std::vector<float> state = get_state(*local);
-          // Undefended baseline: a Byzantine rewrite of the flat state is
-          // averaged straight into the global model.
-          if (faults_ && faults_->is_byzantine(k)) {
-            apply_byzantine_payload(state, faults_->config(),
-                                    faults_->collusion_key(round_idx,
-                                                           /*coord=*/-1));
-          }
-          if (fate.corruption != CorruptionKind::kNone &&
-              fate.corruption != CorruptionKind::kTruncate) {
-            // FedAvg ships one flat state vector, so a truncated payload
-            // would be unloadable; NaN/zero damage is averaged straight into
-            // the global model — no server-side validation exists in the
-            // baseline.
-            Rng crng = faults_->payload_rng(round_idx, k);
-            FaultInjector::corrupt_payload(state, fate.corruption, crng);
-          }
-          slot.state = std::move(state);
-          slot.weight = static_cast<double>(pop_.local_data(k).size());
-          slot.uploaded = true;
-        } catch (...) {
-          slot.error = std::current_exception();
+        const std::int64_t k = static_cast<std::int64_t>(pick[i]);
+        const DeviceFate fate =
+            faults_ ? faults_->device_fate(round_idx, k) : DeviceFate{};
+        if (fate.dropped) return;
+        const std::int64_t region =
+            static_cast<std::size_t>(k) < regions_.size()
+                ? regions_[static_cast<std::size_t>(k)]
+                : 0;
+        if (faults_ && faults_->regional_outage(round_idx, region)) return;
+        slot.ledger.record_download(bytes);
+        auto local = global_->clone();
+        TrainConfig cfg = cfg_.local;
+        cfg.seed =
+            derive_stream_seed(cfg_.seed, round_idx, k, kFedAvgTrainSalt);
+        train_plain(*local, pop_.local_data(k), cfg);
+        if (fate.crashes_before_upload) return;
+        slot.ledger.record_upload(bytes);
+        slot.state = get_state(*local);
+        if (faults_) {
+          faults_->damage_flat_upload(slot.state, round_idx, k, fate);
         }
+        slot.weight = static_cast<double>(pop_.local_data(k).size());
+        slot.uploaded = true;
       },
       /*grain=*/1);
 
@@ -98,7 +79,6 @@ std::vector<std::int64_t> FedAvg::round() {
   obs::FlightRecorder& rec = obs::recorder();
   const bool recording = rec.enabled();
   for (std::size_t i = 0; i < pick.size(); ++i) {
-    if (slots[i].error) std::rethrow_exception(slots[i].error);
     participants.push_back(static_cast<std::int64_t>(pick[i]));
     ledger_.merge(slots[i].ledger);
     if (slots[i].uploaded) survivors.push_back(&slots[i]);

@@ -95,47 +95,27 @@ std::vector<std::int64_t> HeteroFL::round() {
   }
 
   // Parallel local training: private model per slot, derived seeds.
-  std::vector<std::exception_ptr> errors(pick.size());
   std::vector<char> uploaded(pick.size(), 0);
   ThreadPool::global().parallel_for(
       0, pick.size(),
       [&](std::size_t i) {
-        try {
-          if (!alive[i]) return;
-          const std::int64_t k = static_cast<std::int64_t>(pick[i]);
-          TrainConfig cfg = cfg_.local;
-          cfg.seed =
-              derive_stream_seed(cfg_.seed, round_idx, k, kHeteroFLTrainSalt);
-          train_plain(*subs[i], pop_.local_data(k), cfg);
-          if (fates[i].crashes_before_upload) return;
-          // Undefended baseline: Byzantine rewrites and NaN/zero channel
-          // damage land in the upload unvalidated (a truncated nested state
-          // would be unloadable, so that kind is skipped like in FedAvg).
-          if (faults_ && (faults_->is_byzantine(k) ||
-                          (fates[i].corruption != CorruptionKind::kNone &&
-                           fates[i].corruption != CorruptionKind::kTruncate))) {
-            std::vector<float> state = get_state(*subs[i]);
-            if (faults_->is_byzantine(k)) {
-              apply_byzantine_payload(state, faults_->config(),
-                                      faults_->collusion_key(round_idx,
-                                                             /*coord=*/-1));
-            }
-            if (fates[i].corruption != CorruptionKind::kNone &&
-                fates[i].corruption != CorruptionKind::kTruncate) {
-              Rng crng = faults_->payload_rng(round_idx, k);
-              FaultInjector::corrupt_payload(state, fates[i].corruption, crng);
-            }
-            set_state(*subs[i], state);
-          }
-          uploaded[i] = 1;
-        } catch (...) {
-          errors[i] = std::current_exception();
+        if (!alive[i]) return;
+        const std::int64_t k = static_cast<std::int64_t>(pick[i]);
+        TrainConfig cfg = cfg_.local;
+        cfg.seed =
+            derive_stream_seed(cfg_.seed, round_idx, k, kHeteroFLTrainSalt);
+        train_plain(*subs[i], pop_.local_data(k), cfg);
+        if (fates[i].crashes_before_upload) return;
+        // Undefended baseline: Byzantine rewrites and NaN/zero channel
+        // damage land in the upload unvalidated.
+        if (faults_ && faults_->damages_flat_upload(k, fates[i])) {
+          std::vector<float> state = get_state(*subs[i]);
+          faults_->damage_flat_upload(state, round_idx, k, fates[i]);
+          set_state(*subs[i], state);
         }
+        uploaded[i] = 1;
       },
       /*grain=*/1);
-  for (std::size_t i = 0; i < pick.size(); ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
   // Timeline feed (serial, post-barrier — same contract as round()).
   obs::FlightRecorder& rec = obs::recorder();
   if (rec.enabled()) {

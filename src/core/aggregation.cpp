@@ -319,13 +319,6 @@ EdgeUpdate make_edge_update(ModularModel& submodel,
   return up;
 }
 
-void aggregate_module_wise(ModularModel& cloud,
-                           const std::vector<EdgeUpdate>& updates,
-                           AggregationWeighting weighting, float server_mix) {
-  aggregate_module_wise_robust(cloud, updates, weighting, server_mix,
-                               RobustAggregationConfig{});
-}
-
 AggregationOutcome aggregate_module_wise_robust(
     ModularModel& cloud, const std::vector<EdgeUpdate>& updates,
     AggregationWeighting weighting, float server_mix,

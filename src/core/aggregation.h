@@ -122,24 +122,18 @@ UpdateVerdict validate_update(ModularModel& cloud, const EdgeUpdate& up,
 /// are quarantined — skipped, never partially applied — and if none survive
 /// the call is a no-op. The cloud model therefore stays finite and
 /// structurally intact whatever arrives from the network.
-void aggregate_module_wise(
-    ModularModel& cloud, const std::vector<EdgeUpdate>& updates,
-    AggregationWeighting weighting = AggregationWeighting::kImportance,
-    float server_mix = 1.0f);
-
-/// Robust variant: same contract as `aggregate_module_wise`, with the
-/// per-module statistic chosen by `robust.kind` and an optional pre-pass
-/// that scores every valid update for anomaly (scale-free distance to the
-/// coordinate-wise median of its co-updates) and rejects those above
-/// `robust.anomaly_threshold`. With the default config this *is* the
-/// function above — same float operations in the same order. The median /
-/// trimmed-mean / Krum statistics ignore importance weights (a robust
-/// statistic an attacker can re-weight isn't robust); shared components use
-/// the same statistic over all surviving updates.
+///
+/// The per-module statistic is chosen by `robust.kind`, with an optional
+/// pre-pass that scores every valid update for anomaly (scale-free distance
+/// to the coordinate-wise median of its co-updates) and rejects those above
+/// `robust.anomaly_threshold`. The default config is the plain weighted
+/// mean. The median / trimmed-mean / Krum statistics ignore importance
+/// weights (a robust statistic an attacker can re-weight isn't robust);
+/// shared components use the same statistic over all surviving updates.
 AggregationOutcome aggregate_module_wise_robust(
     ModularModel& cloud, const std::vector<EdgeUpdate>& updates,
-    AggregationWeighting weighting, float server_mix,
-    const RobustAggregationConfig& robust);
+    AggregationWeighting weighting = AggregationWeighting::kImportance,
+    float server_mix = 1.0f, const RobustAggregationConfig& robust = {});
 
 /// Builds the upload for a trained sub-model (copies its states out).
 EdgeUpdate make_edge_update(ModularModel& submodel,

@@ -442,22 +442,15 @@ RoundReport NebulaSystem::round() {
 
   // The per-device leg is embarrassingly parallel: fates and training seeds
   // are derived per (round, device), and each device touches only its own
-  // slot plus its own entries of edge_states_ / selector_cached_. Exceptions
-  // are captured per slot (a throw on a worker thread would terminate the
-  // process) and rethrown on this thread during the ordered merge.
+  // slot plus its own entries of edge_states_ / selector_cached_. A throwing
+  // leg surfaces here from parallel_for, before anything is merged.
   std::vector<DeviceRoundSlot> slots(pick.size());
   for (std::size_t i = 0; i < pick.size(); ++i) {
     slots[i].device = static_cast<std::int64_t>(pick[i]);
   }
   ThreadPool::global().parallel_for(
       0, slots.size(),
-      [&](std::size_t i) {
-        try {
-          run_round_device(round_idx, slots[i]);
-        } catch (...) {
-          slots[i].error = std::current_exception();
-        }
-      },
+      [&](std::size_t i) { run_round_device(round_idx, slots[i]); },
       /*grain=*/1);
 
   // Ordered merge: bit-identical whatever the worker count, because every
@@ -477,7 +470,6 @@ RoundReport NebulaSystem::round() {
   const bool recording = rec.enabled();
   using obs::TimelineKind;
   for (auto& slot : slots) {
-    if (slot.error) std::rethrow_exception(slot.error);
     const std::int64_t k = slot.device;
     const int dev = static_cast<int>(k);
     rep.participants.push_back(k);
@@ -722,7 +714,7 @@ void NebulaSystem::adapt_device(std::int64_t k, bool query_cloud,
   ledger_.record_upload(up.payload_bytes());
   // Deliberately online_mix (< 1), unlike round(): a single device's update
   // aggregated at weight 1 would overwrite fleet knowledge (DESIGN.md §5).
-  aggregate_module_wise(*cloud_, {up}, cfg_.weighting, cfg_.online_mix);
+  aggregate_module_wise_robust(*cloud_, {up}, cfg_.weighting, cfg_.online_mix);
 }
 
 float NebulaSystem::eval_device(std::int64_t k, std::int64_t test_n) {

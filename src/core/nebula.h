@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -316,7 +315,6 @@ class NebulaSystem {
     double imbalance_sum = 0.0;
     std::int64_t routing_samples = 0;
     RoundPhaseTimes phases;           // host-time contributions
-    std::exception_ptr error;         // rethrown on the caller after merge
   };
 
   std::vector<std::int64_t> proxy_subtasks(const SyntheticData& proxy) const;

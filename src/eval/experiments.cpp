@@ -231,29 +231,23 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
   struct EvalSlot {
     double na = 0.0, la = 0.0, an = 0.0;
     double fa = 0.0, hfl = 0.0, nebula = 0.0;
-    std::exception_ptr error;
   };
   std::vector<EvalSlot> eval_slots(tests.size());
   ThreadPool::global().parallel_for(
       0, tests.size(),
       [&](std::size_t i) {
         EvalSlot& s = eval_slots[i];
-        try {
-          const std::int64_t k = static_cast<std::int64_t>(i);
-          s.na = na.eval_on(tests[i]);
-          s.la = la.eval_on(k, tests[i]);
-          s.an = an.eval_on(k, tests[i]);
-          s.fa = fa.eval_on(tests[i]);
-          s.hfl = hfl.eval_on(k, tests[i]);
-          s.nebula = nebula.eval_resident_on(k, tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
+        const std::int64_t k = static_cast<std::int64_t>(i);
+        s.na = na.eval_on(tests[i]);
+        s.la = la.eval_on(k, tests[i]);
+        s.an = an.eval_on(k, tests[i]);
+        s.fa = fa.eval_on(tests[i]);
+        s.hfl = hfl.eval_on(k, tests[i]);
+        s.nebula = nebula.eval_resident_on(k, tests[i]);
       },
       /*grain=*/1);
   AdaptationResult res;
   for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
     res.na += s.na;
     res.la += s.la;
     res.an += s.an;
@@ -295,151 +289,15 @@ bool model_state_finite(ModularModel& model) {
   return true;
 }
 
-FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
-                                      const FaultConfig& faults,
-                                      std::uint64_t seed) {
-  NEBULA_SPAN("experiment.faults");
-  obs::WallTimer wall;
-  EdgePopulation& pop = *env.population;
-  TrainConfig pre;
-  pre.epochs = scale.pretrain_epochs;
-  pre.lr = env.spec.pretrain_lr;
-  const std::int64_t eval_n =
-      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
-
-  init::reseed(seed + 41);
-  FedAvgConfig fc;
-  fc.devices_per_round = scale.devices_per_round;
-  fc.seed = seed + 42;
-  FedAvg fa(env.plain(), pop, fc);
-  fa.pretrain(env.proxy.data, pre);
-
-  ZooOptions zo;
-  zo.init_seed = seed + 43;
-  NebulaConfig nc;
-  nc.devices_per_round = scale.devices_per_round;
-  nc.pretrain.epochs = scale.pretrain_epochs;
-  nc.pretrain.lr = env.spec.pretrain_lr;
-  nc.ability.finetune.lr = env.spec.pretrain_lr;
-  nc.seed = seed + 44;
-  NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
-  sys.offline(env.proxy);
-
-  // Identical fault schedule for both systems: same seed, same coordinates.
-  FaultInjector fedavg_faults(faults);
-  fa.set_fault_injector(&fedavg_faults);
-  sys.inject_faults(faults);
-
-  FaultSweepResult res;
-  const std::int64_t rounds = 2 * scale.warm_rounds;
-  for (std::int64_t r = 0; r < rounds; ++r) {
-    fa.round();
-    RoundReport rep = sys.round();
-    res.rounds_aggregated += rep.aggregated ? 1 : 0;
-    res.updates_dropped += static_cast<std::int64_t>(rep.dropped.size());
-    res.updates_rejected += static_cast<std::int64_t>(rep.rejected.size());
-    res.transfer_retries += rep.transfer_retries;
-    res.round_reports.push_back(std::move(rep));
-  }
-
-  // Serial test-set draws (population RNG), then pure evals fan out; sums
-  // accumulate in index order (see run_adaptation_comparison).
-  std::vector<Dataset> tests;
-  tests.reserve(static_cast<std::size_t>(eval_n));
-  for (std::int64_t k = 0; k < eval_n; ++k) {
-    tests.push_back(pop.device_test(k, scale.test_samples));
-  }
-  struct EvalSlot {
-    double fedavg = 0.0, nebula = 0.0;
-    std::exception_ptr error;
-  };
-  std::vector<EvalSlot> eval_slots(tests.size());
-  ThreadPool::global().parallel_for(
-      0, tests.size(),
-      [&](std::size_t i) {
-        EvalSlot& s = eval_slots[i];
-        try {
-          s.fedavg = fa.eval_on(tests[i]);
-          s.nebula =
-              sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
-      },
-      /*grain=*/1);
-  for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
-    res.fedavg_acc += s.fedavg;
-    res.nebula_acc += s.nebula;
-  }
-  const double inv = 1.0 / static_cast<double>(eval_n);
-  res.fedavg_acc *= inv;
-  res.nebula_acc *= inv;
-
-  res.nebula_finite = model_state_finite(sys.cloud());
-  for (float x : get_state(fa.global())) {
-    if (!std::isfinite(x)) {
-      res.fedavg_finite = false;
-      break;
-    }
-  }
-  res.nebula_goodput_mb = sys.ledger().total_mb();
-  res.nebula_overhead_mb = sys.ledger().overhead_mb();
-  obs::gauge("experiment.faults." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
-  return res;
-}
-
-namespace {
-
-/// Shared eval epilogue: serial test draws, parallel pure evals, means.
-void eval_pair(EdgePopulation& pop, const BenchScale& scale, FedAvg& fa,
-               NebulaSystem& sys, double& fedavg_acc, double& nebula_acc) {
-  const std::int64_t eval_n =
-      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
-  std::vector<Dataset> tests;
-  tests.reserve(static_cast<std::size_t>(eval_n));
-  for (std::int64_t k = 0; k < eval_n; ++k) {
-    tests.push_back(pop.device_test(k, scale.test_samples));
-  }
-  struct EvalSlot {
-    double fedavg = 0.0, nebula = 0.0;
-    std::exception_ptr error;
-  };
-  std::vector<EvalSlot> eval_slots(tests.size());
-  ThreadPool::global().parallel_for(
-      0, tests.size(),
-      [&](std::size_t i) {
-        EvalSlot& s = eval_slots[i];
-        try {
-          s.fedavg = fa.eval_on(tests[i]);
-          s.nebula =
-              sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
-        } catch (...) {
-          s.error = std::current_exception();
-        }
-      },
-      /*grain=*/1);
-  fedavg_acc = 0.0;
-  nebula_acc = 0.0;
-  for (const EvalSlot& s : eval_slots) {
-    if (s.error) std::rethrow_exception(s.error);
-    fedavg_acc += s.fedavg;
-    nebula_acc += s.nebula;
-  }
-  const double inv = 1.0 / static_cast<double>(eval_n);
-  fedavg_acc *= inv;
-  nebula_acc *= inv;
-}
-
-}  // namespace
-
-ByzantineSweepResult run_byzantine_comparison(
-    TaskEnv& env, const BenchScale& scale, const FaultConfig& faults,
-    const RobustAggregationConfig& robust, std::uint64_t seed,
-    std::int64_t attack_onset_round) {
-  NEBULA_SPAN("experiment.byzantine");
+ScenarioResult run_scenario(TaskEnv& env, const BenchScale& scale,
+                            const ScenarioSpec& scenario, std::uint64_t seed) {
+  NEBULA_SPAN("experiment.scenario");
+  // Fail before the pretraining, not at the onset round.
+  NEBULA_CHECK_MSG(scenario.drift_rate >= 0.0f && scenario.drift_rate <= 1.0f &&
+                       scenario.churn_prob >= 0.0f &&
+                       scenario.churn_prob <= 1.0f,
+                   "scenario drift rate and churn probability must lie in "
+                   "[0, 1]");
   obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   TrainConfig pre;
@@ -461,119 +319,62 @@ ByzantineSweepResult run_byzantine_comparison(
   nc.pretrain.lr = env.spec.pretrain_lr;
   nc.ability.finetune.lr = env.spec.pretrain_lr;
   nc.seed = seed + 44;
-  nc.fault_policy.robust = robust;
+  nc.fault_policy.robust = scenario.robust;
   NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
   sys.offline(env.proxy);
 
-  // Identical adversary schedule for both systems — FedAvg just has no
-  // defense against it. With a positive onset round the adversaries attach
-  // mid-run (clean rounds first), which is the change point the recorder's
-  // rejection-rate monitor should timestamp.
-  FaultInjector fedavg_faults(faults);
-  if (attack_onset_round <= 0) {
+  // Identical fault schedule for both systems — same seed, same coordinates,
+  // same regions; FedAvg just has no defence against it.
+  std::vector<std::int64_t> regions;
+  for (const DeviceProfile& p : env.profiles) regions.push_back(p.region);
+  fa.set_device_regions(std::move(regions));
+  FaultInjector fedavg_faults(scenario.faults);
+  auto start_scenario = [&] {
     fa.set_fault_injector(&fedavg_faults);
-    sys.inject_faults(faults);
-  }
+    sys.inject_faults(scenario.faults);
+    pop.set_dynamics(scenario.drift_rate, scenario.churn_prob);
+  };
 
-  obs::FlightRecorder& rec = obs::recorder();
-  const bool recording = rec.enabled();
-  if (recording) rec.reset();  // alert rounds index into this run
-
-  ByzantineSweepResult res;
-  const std::int64_t rounds = 2 * scale.warm_rounds;
-  for (std::int64_t r = 0; r < rounds; ++r) {
-    if (attack_onset_round > 0 && r == attack_onset_round) {
-      fa.set_fault_injector(&fedavg_faults);
-      sys.inject_faults(faults);
-    }
-    fa.round();
-    RoundReport rep = sys.round();
-    res.robust_rejected += rep.rejected_robust;
-    res.updates_rejected += static_cast<std::int64_t>(rep.rejected.size());
-    res.round_reports.push_back(std::move(rep));
-  }
-  if (recording) res.alerts = rec.alerts();
-
-  eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
-  res.nebula_finite = model_state_finite(sys.cloud());
-  for (float x : get_state(fa.global())) {
-    if (!std::isfinite(x)) {
-      res.fedavg_finite = false;
-      break;
-    }
-  }
-  obs::gauge("experiment.byzantine." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + "." +
-             robust_aggregator_name(robust.kind) + ".wall_s")
-      .set(wall.elapsed_s());
-  return res;
-}
-
-DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
-                                      float drift_rate, float churn_prob,
-                                      std::uint64_t seed,
-                                      std::int64_t drift_onset_round) {
-  NEBULA_SPAN("experiment.drift");
-  obs::WallTimer wall;
-  EdgePopulation& pop = *env.population;
-  TrainConfig pre;
-  pre.epochs = scale.pretrain_epochs;
-  pre.lr = env.spec.pretrain_lr;
-
-  init::reseed(seed + 41);
-  FedAvgConfig fc;
-  fc.devices_per_round = scale.devices_per_round;
-  fc.seed = seed + 42;
-  FedAvg fa(env.plain(), pop, fc);
-  fa.pretrain(env.proxy.data, pre);
-
-  ZooOptions zo;
-  zo.init_seed = seed + 43;
-  NebulaConfig nc;
-  nc.devices_per_round = scale.devices_per_round;
-  nc.pretrain.epochs = scale.pretrain_epochs;
-  nc.pretrain.lr = env.spec.pretrain_lr;
-  nc.ability.finetune.lr = env.spec.pretrain_lr;
-  nc.seed = seed + 44;
-  NebulaSystem sys(env.modular(zo), pop, env.profiles, nc);
-  sys.offline(env.proxy);
-
-  // Frozen probe test sets, drawn *unconditionally* before the environment
-  // starts moving: they represent the pre-drift data distribution, so the
-  // per-round probe accuracy decays once drift kicks in — the signal the
-  // accuracy monitor watches. Drawing them regardless of recording keeps the
-  // population RNG stream identical whether or not the recorder is on.
-  const std::int64_t probe_n = std::min<std::int64_t>(4, pop.num_devices());
+  // Frozen probe sets (see ScenarioSpec::monitor_dynamics): drawn before the
+  // environment moves, whether or not the recorder is on, so recording never
+  // shifts the population stream.
   std::vector<Dataset> probes;
-  probes.reserve(static_cast<std::size_t>(probe_n));
-  for (std::int64_t k = 0; k < probe_n; ++k) {
-    probes.push_back(pop.device_test(k, scale.test_samples));
+  if (scenario.monitor_dynamics) {
+    const std::int64_t probe_n = std::min<std::int64_t>(4, pop.num_devices());
+    for (std::int64_t k = 0; k < probe_n; ++k) {
+      probes.push_back(pop.device_test(k, scale.test_samples));
+    }
   }
 
   obs::FlightRecorder& rec = obs::recorder();
   const bool recording = rec.enabled();
   if (recording) rec.reset();  // alert rounds index into this run
 
-  if (drift_onset_round <= 0) pop.set_dynamics(drift_rate, churn_prob);
-  DriftSweepResult res;
+  if (scenario.onset_round <= 0) start_scenario();
+  ScenarioResult res;
   const std::int64_t rounds = 2 * scale.warm_rounds;
   for (std::int64_t r = 0; r < rounds; ++r) {
-    if (drift_onset_round > 0 && r == drift_onset_round) {
-      pop.set_dynamics(drift_rate, churn_prob);
+    if (scenario.onset_round > 0 && r == scenario.onset_round) {
+      start_scenario();
     }
     // The environment moves between rounds: mixtures drift, devices churn.
     const std::int64_t churned = pop.environment_step();
     res.churned_devices += churned;
     fa.round();
     RoundReport rep = sys.round();
-    if (recording) {
+    res.rounds_aggregated += rep.aggregated ? 1 : 0;
+    res.updates_dropped += static_cast<std::int64_t>(rep.dropped.size());
+    res.updates_rejected += static_cast<std::int64_t>(rep.rejected.size());
+    res.robust_rejected += rep.rejected_robust;
+    res.transfer_retries += rep.transfer_retries;
+    if (recording && scenario.monitor_dynamics) {
       // Pure evals (no RNG, no ledger traffic): sub-models freshly derived
       // from the current cloud, scored on the frozen probe sets.
       double acc = 0.0;
-      for (std::int64_t k = 0; k < probe_n; ++k) {
-        acc += sys.eval_derived_on(k, probes[static_cast<std::size_t>(k)]);
+      for (std::size_t k = 0; k < probes.size(); ++k) {
+        acc += sys.eval_derived_on(static_cast<std::int64_t>(k), probes[k]);
       }
-      if (probe_n > 0) acc /= static_cast<double>(probe_n);
+      if (!probes.empty()) acc /= static_cast<double>(probes.size());
       res.probe_accuracy.push_back(acc);
       rec.observe_accuracy(rep.round_index, acc);
       // Fleet churn telemetry: the fraction of devices replaced this round.
@@ -589,10 +390,48 @@ DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
   }
   if (recording) res.alerts = rec.alerts();
 
-  eval_pair(pop, scale, fa, sys, res.fedavg_acc, res.nebula_acc);
-  obs::gauge("experiment.drift." + metric_token(env.spec.dataset_name) + "." +
-             metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
+  // Serial test-set draws (population RNG), then pure evals fan out; sums
+  // accumulate in index order (see run_adaptation_comparison).
+  const std::int64_t eval_n =
+      std::min<std::int64_t>(scale.eval_devices, pop.num_devices());
+  std::vector<Dataset> tests;
+  tests.reserve(static_cast<std::size_t>(eval_n));
+  for (std::int64_t k = 0; k < eval_n; ++k) {
+    tests.push_back(pop.device_test(k, scale.test_samples));
+  }
+  std::vector<double> fedavg_acc(tests.size()), nebula_acc(tests.size());
+  ThreadPool::global().parallel_for(
+      0, tests.size(),
+      [&](std::size_t i) {
+        fedavg_acc[i] = fa.eval_on(tests[i]);
+        nebula_acc[i] =
+            sys.eval_derived_on(static_cast<std::int64_t>(i), tests[i]);
+      },
+      /*grain=*/1);
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    res.fedavg_acc += fedavg_acc[i];
+    res.nebula_acc += nebula_acc[i];
+  }
+  const double inv = 1.0 / static_cast<double>(eval_n);
+  res.fedavg_acc *= inv;
+  res.nebula_acc *= inv;
+
+  res.nebula_finite = model_state_finite(sys.cloud());
+  for (float x : get_state(fa.global())) {
+    if (!std::isfinite(x)) {
+      res.fedavg_finite = false;
+      break;
+    }
+  }
+  res.nebula_goodput_mb = sys.ledger().total_mb();
+  res.nebula_overhead_mb = sys.ledger().overhead_mb();
+  std::string key = "experiment." + scenario.label + "." +
+                    metric_token(env.spec.dataset_name) + "." +
+                    metric_token(env.spec.partition_name);
+  if (scenario.label == "byzantine") {
+    key += std::string(".") + robust_aggregator_name(scenario.robust.kind);
+  }
+  obs::gauge(key + ".wall_s").set(wall.elapsed_s());
   return res;
 }
 

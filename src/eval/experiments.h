@@ -93,88 +93,66 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
                                            const BenchScale& scale,
                                            std::uint64_t seed);
 
-/// One cell of the fault-sweep grid (`bench_fig_faults`): Nebula's
-/// fault-tolerant rounds vs FedAvg under the same seeded fault schedule.
-struct FaultSweepResult {
+/// One cell of the dynamic-edge scenario grids (`bench_fig_faults`,
+/// `bench_fig_byzantine`, `bench_fig_drift`): Nebula's fault-tolerant
+/// rounds vs undefended FedAvg, both facing the same seeded fault schedule
+/// (same seed, same coordinates, same device regions) in the same moving
+/// population.
+struct ScenarioSpec {
+  /// Names the run's wall-time gauge,
+  /// experiment.<label>.<dataset>.<partition>.wall_s; a "byzantine" run's
+  /// key also names the aggregator before ".wall_s".
+  std::string label = "faults";
+  FaultConfig faults;              // shared by both systems
+  RobustAggregationConfig robust;  // Nebula's aggregation policy
+  float drift_rate = 0.0f;         // EdgePopulation::set_dynamics knobs
+  float churn_prob = 0.0f;
+  /// > 0 keeps the run clean until this round — no faults, static
+  /// population — and attaches the faults and the dynamics there: the
+  /// change point the recorder's monitors are expected to timestamp
+  /// (DESIGN.md §14). 0 starts them with the first round.
+  std::int64_t onset_round = 0;
+  /// Draws frozen probe test sets before the first round (they stand for
+  /// the pre-drift data) and, while the recorder is on, feeds per-round
+  /// probe accuracy and churn rate to its monitors. The draws come from
+  /// the population stream, so they shift every later test draw: a drift
+  /// sweep sets this on all its cells, its static control included, and
+  /// fault runs leave it off, so their results and cost do not depend on
+  /// the recorder.
+  bool monitor_dynamics = false;
+};
+
+struct ScenarioResult {
   double nebula_acc = 0.0;        // mean derived-sub-model accuracy
   double fedavg_acc = 0.0;        // mean global-model accuracy
   bool nebula_finite = true;      // cloud model stayed NaN/Inf-free
   bool fedavg_finite = true;      // global model stayed NaN/Inf-free
   std::int64_t rounds_aggregated = 0;  // Nebula rounds that met quorum
   std::int64_t updates_dropped = 0;    // dropout + crash + dead links
-  std::int64_t updates_rejected = 0;   // quarantined by validation
+  std::int64_t updates_rejected = 0;   // quarantined (all reasons)
+  std::int64_t robust_rejected = 0;    // anomaly-gate rejections
   std::int64_t transfer_retries = 0;
+  std::int64_t churned_devices = 0;    // churn events over the run
   double nebula_goodput_mb = 0.0;   // useful traffic
   double nebula_overhead_mb = 0.0;  // failed-transfer waste
   /// Every Nebula round's full report, in order — benches print per-round
   /// summaries and telemetry consumers aggregate across the sweep.
   std::vector<RoundReport> round_reports;
-};
-
-/// Pretrains both systems on `env`, attaches `faults` to each, runs
-/// 2 x warm_rounds collaborative rounds and evaluates mean device accuracy.
-FaultSweepResult run_fault_comparison(TaskEnv& env, const BenchScale& scale,
-                                      const FaultConfig& faults,
-                                      std::uint64_t seed);
-
-/// One cell of the Byzantine grid (`bench_fig_byzantine`): Nebula with a
-/// chosen robust-aggregation policy vs undefended FedAvg, both facing the
-/// same seeded adversaries. Run a zero-fraction cell for the clean
-/// reference.
-struct ByzantineSweepResult {
-  double nebula_acc = 0.0;
-  double fedavg_acc = 0.0;
-  bool nebula_finite = true;
-  bool fedavg_finite = true;
-  std::int64_t robust_rejected = 0;   // anomaly-gate rejections (all rounds)
-  std::int64_t updates_rejected = 0;  // total quarantined (all reasons)
-  std::vector<RoundReport> round_reports;
+  /// Per-round probe accuracy on the frozen probe sets; only with
+  /// `monitor_dynamics` while the recorder is enabled.
+  std::vector<double> probe_accuracy;
   /// Health-monitor alerts harvested from the flight recorder, in firing
   /// order. Empty unless the recorder was enabled before the run.
   std::vector<obs::Alert> alerts;
 };
 
-/// Pretrains both systems, attaches the same fault schedule (set
-/// `faults.byzantine_fraction` / `kind`, and `faults.num_devices` for an
-/// exact attacker count), installs `robust` as Nebula's aggregation policy,
-/// runs 2 x warm_rounds and evaluates mean device accuracy.
-///
-/// `attack_onset_round` > 0 keeps both systems fault-free until that round
-/// and attaches the adversaries there — the scenario the flight recorder's
-/// rejection-rate monitor is expected to timestamp (DESIGN.md §14). 0 (the
-/// legacy default) attacks from round 0.
-///
-/// When the flight recorder is enabled the run resets it first, so alert
-/// round indices refer to this run's rounds; recording never changes the
-/// simulation itself (feeds are draw-free).
-ByzantineSweepResult run_byzantine_comparison(
-    TaskEnv& env, const BenchScale& scale, const FaultConfig& faults,
-    const RobustAggregationConfig& robust, std::uint64_t seed,
-    std::int64_t attack_onset_round = 0);
-
-/// One cell of the dynamic-environment grid (`bench_fig_drift`): class-
-/// mixture drift + device churn advance the population every round while
-/// Nebula and FedAvg adapt.
-struct DriftSweepResult {
-  double nebula_acc = 0.0;
-  double fedavg_acc = 0.0;
-  std::int64_t churned_devices = 0;  // total churn events over the run
-  std::vector<RoundReport> round_reports;
-  /// Per-round probe accuracy on frozen (pre-drift) test sets — the signal
-  /// the accuracy monitor watches. Only populated while the flight recorder
-  /// is enabled (the probe *draws* happen unconditionally, so enabling
-  /// recording never shifts the population RNG stream).
-  std::vector<double> probe_accuracy;
-  std::vector<obs::Alert> alerts;  // empty unless the recorder was enabled
-};
-
-/// `drift_onset_round` > 0 keeps the environment static until that round,
-/// then switches on drift/churn — the drift-detection scenario for the
-/// accuracy monitor. 0 (the legacy default) drifts from the first step.
-DriftSweepResult run_drift_comparison(TaskEnv& env, const BenchScale& scale,
-                                      float drift_rate, float churn_prob,
-                                      std::uint64_t seed,
-                                      std::int64_t drift_onset_round = 0);
+/// Pretrains both systems on `env`, runs 2 x warm_rounds collaborative
+/// rounds under `scenario` — the population steps between rounds — and
+/// evaluates mean device accuracy. When the flight recorder is enabled the
+/// run resets it first, so alert round indices refer to this run's rounds;
+/// recording never changes the simulation itself (feeds are draw-free).
+ScenarioResult run_scenario(TaskEnv& env, const BenchScale& scale,
+                            const ScenarioSpec& scenario, std::uint64_t seed);
 
 /// True when every parameter of the modular model (shared + all modules) is
 /// finite — the invariant the quarantine must preserve.

@@ -137,7 +137,19 @@ void ThreadPool::run_chunks() {
     if (c >= nchunks) break;
     const std::size_t lo = job_begin_ + c * job_chunk_;
     const std::size_t hi = std::min(job_end_, lo + job_chunk_);
-    if (lo < hi) job_fn_(job_ctx_, lo, hi);
+    try {
+      if (lo < hi) job_fn_(job_ctx_, lo, hi);
+    } catch (...) {
+      // Keep the lowest-indexed chunk's exception: chunks are contiguous and
+      // ordered, so that is the lowest throwing iteration whatever the pool
+      // size. The chunk still counts as completed, or the barrier would
+      // wait forever.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job_error_ || c < job_error_chunk_) {
+        job_error_ = std::current_exception();
+        job_error_chunk_ = c;
+      }
+    }
     job_completed_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -221,8 +233,11 @@ void ThreadPool::parallel_run(std::size_t begin, std::size_t end, RangeFn fn,
            job_workers_ == 0;
   });
   job_active_ = false;
+  const std::exception_ptr error = std::move(job_error_);
+  job_error_ = nullptr;
   lock.unlock();
   done_cv_.notify_all();  // release any caller queued for the job slot
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace nebula

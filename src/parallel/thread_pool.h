@@ -16,6 +16,11 @@
 //  * Nested parallelism from inside a worker of the *same* pool runs inline
 //    (serially) — this is what lets Conv2d parallelise over the batch while
 //    its per-sample GEMMs still call into the same kernels.
+//  * An exception thrown by a chunk, on any participant, is rethrown on the
+//    caller after the barrier — the one from the lowest-indexed throwing
+//    iteration, so the error is the same for every pool size. Every other
+//    chunk still runs to completion first, and the pool is left ready for
+//    the next region. Inline regions propagate the throw directly.
 //  * Each pool owns a per-worker scratch arena (`scratch_floats`), keyed by
 //    `current_worker_index()`. Buffers are grow-only and persist across
 //    parallel regions, so hot kernels (im2col, GEMM packing) reuse memory
@@ -27,6 +32,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -133,7 +139,8 @@ class ThreadPool {
   /// the calling thread with the reduced slot. Because both the partition
   /// and the merge tree depend only on (end - begin, grain, width), the
   /// result is bit-identical for any worker count, chunk schedule, or
-  /// arrival timing. Empty ranges return without calling `merge`.
+  /// arrival timing. Empty ranges return without calling `merge`; so does a
+  /// throwing `body`, whose exception propagates as from `parallel_run`.
   ///
   /// Nested calls (from inside a region of this pool) run inline on the
   /// owning worker using that worker's private arena row — same partition,
@@ -175,7 +182,8 @@ class ThreadPool {
   /// Runs fn(ctx, lo, hi) over a static chunking of [begin, end). Blocks
   /// until all chunks finish. `grain` is the minimum chunk width; ranges no
   /// wider than one grain (and nested calls from this pool's own workers)
-  /// run inline on the calling thread.
+  /// run inline on the calling thread. If chunks throw, the exception of
+  /// the lowest-indexed throwing chunk is rethrown here after the barrier.
   void parallel_run(std::size_t begin, std::size_t end, RangeFn fn, void* ctx,
                     std::size_t grain = 1);
 
@@ -264,6 +272,8 @@ class ThreadPool {
   std::size_t job_chunk_ = 0, job_nchunks_ = 0;
   std::atomic<std::size_t> job_next_{0};
   std::atomic<std::size_t> job_completed_{0};
+  std::exception_ptr job_error_;     // guarded by mu_; lowest throwing chunk
+  std::size_t job_error_chunk_ = 0;  // guarded by mu_
 };
 
 /// Convenience free function over the global pool.

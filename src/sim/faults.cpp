@@ -170,6 +170,29 @@ bool FaultInjector::regional_outage(std::int64_t round,
   return r.uniform() < cfg_.regional_outage_prob;
 }
 
+namespace {
+bool corrupts_flat_upload(CorruptionKind kind) {
+  return kind != CorruptionKind::kNone && kind != CorruptionKind::kTruncate;
+}
+}  // namespace
+
+bool FaultInjector::damages_flat_upload(std::int64_t device,
+                                        const DeviceFate& fate) const {
+  return is_byzantine(device) || corrupts_flat_upload(fate.corruption);
+}
+
+void FaultInjector::damage_flat_upload(std::vector<float>& state,
+                                       std::int64_t round, std::int64_t device,
+                                       const DeviceFate& fate) const {
+  if (is_byzantine(device)) {
+    apply_byzantine_payload(state, cfg_, collusion_key(round, /*coord=*/-1));
+  }
+  if (corrupts_flat_upload(fate.corruption)) {
+    Rng crng = payload_rng(round, device);
+    corrupt_payload(state, fate.corruption, crng);
+  }
+}
+
 double FaultInjector::clock_skew(std::int64_t round,
                                  std::int64_t device) const {
   if (cfg_.clock_skew_s <= 0.0) return 0.0;

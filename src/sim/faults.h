@@ -142,6 +142,18 @@ class FaultInjector {
   /// Whether the whole of `region` is down in `round` (correlated outage).
   bool regional_outage(std::int64_t round, std::int64_t region) const;
 
+  /// Whether an undefended baseline's flat upload from `device` is damaged:
+  /// the device is Byzantine, or `fate` corrupts the payload with NaN/zero
+  /// values. Truncation is left out — a truncated flat state would be
+  /// unloadable.
+  bool damages_flat_upload(std::int64_t device, const DeviceFate& fate) const;
+
+  /// Applies that damage to a baseline's flat upload in place: the
+  /// Byzantine rewrite, then the NaN/zero corruption. The baselines have no
+  /// server-side validation, so the damaged state is averaged straight in.
+  void damage_flat_upload(std::vector<float>& state, std::int64_t round,
+                          std::int64_t device, const DeviceFate& fate) const;
+
   /// The device's clock error (seconds, in [-clock_skew_s, +clock_skew_s])
   /// for this round. 0 whenever `clock_skew_s` is zero — no draw made.
   double clock_skew(std::int64_t round, std::int64_t device) const;

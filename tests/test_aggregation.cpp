@@ -46,7 +46,7 @@ TEST(Aggregation, SingleUpdateReplacesContainedModules) {
   SubmodelSpec spec;
   spec.modules = {{0, 1}};
   auto up = update_for(*zm.model, spec, 7.0f, 0.5, 100);
-  aggregate_module_wise(*zm.model, {up});
+  aggregate_module_wise_robust(*zm.model, {up});
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 7.0f);
   for (float v : zm.model->module_state(0, 1)) EXPECT_FLOAT_EQ(v, 7.0f);
 }
@@ -57,7 +57,7 @@ TEST(Aggregation, UntouchedModulesKeepCloudWeights) {
   SubmodelSpec spec;
   spec.modules = {{0}};
   auto up = update_for(*zm.model, spec, 7.0f, 0.5, 100);
-  aggregate_module_wise(*zm.model, {up});
+  aggregate_module_wise_robust(*zm.model, {up});
   EXPECT_EQ(zm.model->module_state(0, 2), before);
 }
 
@@ -67,8 +67,8 @@ TEST(Aggregation, ImportanceWeightedAverage) {
   spec.modules = {{0}};
   auto up1 = update_for(*zm.model, spec, 10.0f, /*importance=*/0.75, 50);
   auto up2 = update_for(*zm.model, spec, 2.0f, /*importance=*/0.25, 50);
-  aggregate_module_wise(*zm.model, {up1, up2},
-                        AggregationWeighting::kImportance);
+  aggregate_module_wise_robust(*zm.model, {up1, up2},
+                               AggregationWeighting::kImportance);
   // Weighted: 0.75*10 + 0.25*2 = 8.
   for (float v : zm.model->module_state(0, 0)) EXPECT_NEAR(v, 8.0f, 1e-5);
 }
@@ -79,8 +79,8 @@ TEST(Aggregation, UniformWeightingAblation) {
   spec.modules = {{0}};
   auto up1 = update_for(*zm.model, spec, 10.0f, 0.75, 50);
   auto up2 = update_for(*zm.model, spec, 2.0f, 0.25, 50);
-  aggregate_module_wise(*zm.model, {up1, up2},
-                        AggregationWeighting::kUniform);
+  aggregate_module_wise_robust(*zm.model, {up1, up2},
+                               AggregationWeighting::kUniform);
   for (float v : zm.model->module_state(0, 0)) EXPECT_NEAR(v, 6.0f, 1e-5);
 }
 
@@ -90,7 +90,7 @@ TEST(Aggregation, SharedStateAveragedBySampleCount) {
   spec.modules = {{0}};
   auto up1 = update_for(*zm.model, spec, 9.0f, 0.5, /*samples=*/30);
   auto up2 = update_for(*zm.model, spec, 3.0f, 0.5, /*samples=*/10);
-  aggregate_module_wise(*zm.model, {up1, up2});
+  aggregate_module_wise_robust(*zm.model, {up1, up2});
   // (30*9 + 10*3) / 40 = 7.5.
   for (float v : zm.model->shared_state()) EXPECT_NEAR(v, 7.5f, 1e-5);
 }
@@ -104,8 +104,9 @@ TEST(Aggregation, ServerMixBlendsWithCloud) {
   SubmodelSpec spec;
   spec.modules = {{0}};
   auto up = update_for(*zm.model, spec, 8.0f, 0.5, 100);
-  aggregate_module_wise(*zm.model, {up}, AggregationWeighting::kImportance,
-                        /*server_mix=*/0.25f);
+  aggregate_module_wise_robust(*zm.model, {up},
+                               AggregationWeighting::kImportance,
+                               /*server_mix=*/0.25f);
   // 0.75*4 + 0.25*8 = 5.
   for (float v : zm.model->module_state(0, 0)) EXPECT_NEAR(v, 5.0f, 1e-5);
 }
@@ -117,7 +118,7 @@ TEST(Aggregation, DisjointDevicesUpdateDisjointModules) {
   s2.modules = {{1}};
   auto up1 = update_for(*zm.model, s1, 1.0f, 0.9, 100);
   auto up2 = update_for(*zm.model, s2, 2.0f, 0.9, 100);
-  aggregate_module_wise(*zm.model, {up1, up2});
+  aggregate_module_wise_robust(*zm.model, {up1, up2});
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 1.0f);
   for (float v : zm.model->module_state(0, 1)) EXPECT_FLOAT_EQ(v, 2.0f);
 }
@@ -136,7 +137,7 @@ TEST(Aggregation, PayloadBytesCountsStates) {
 TEST(Aggregation, EmptyUpdateListIsNoOp) {
   auto zm = make_cloud();
   const auto before = zm.model->shared_state();
-  aggregate_module_wise(*zm.model, {});
+  aggregate_module_wise_robust(*zm.model, {});
   EXPECT_EQ(zm.model->shared_state(), before);
 }
 
@@ -197,7 +198,7 @@ TEST(Aggregation, QuarantinesNaNUpdateWithoutCorruptingCloud) {
       std::fill(state.begin(), state.end(), std::nanf(""));
     }
   }
-  aggregate_module_wise(*zm.model, {good, bad});
+  aggregate_module_wise_robust(*zm.model, {good, bad});
   // Only the good update lands: the module is exactly 2, not NaN.
   for (float v : zm.model->module_state(0, 0)) EXPECT_FLOAT_EQ(v, 2.0f);
   for (float v : zm.model->shared_state()) EXPECT_FLOAT_EQ(v, 2.0f);
@@ -212,7 +213,7 @@ TEST(Aggregation, QuarantinesSizeMismatchedUpdate) {
   bad.module_states[0][0].resize(bad.module_states[0][0].size() / 2);
   // Formerly a mid-aggregation NEBULA_CHECK throw (partial mutation hazard);
   // now the malformed update is skipped and nothing changes.
-  aggregate_module_wise(*zm.model, {bad});
+  aggregate_module_wise_robust(*zm.model, {bad});
   EXPECT_EQ(zm.model->module_state(0, 0), before);
 }
 
@@ -226,7 +227,7 @@ TEST(Aggregation, AllInvalidUpdatesIsNoOp) {
   bad1.shared_state[0] = std::nanf("");
   auto bad2 = update_for(*zm.model, spec, 1.0f, 0.5, 50);
   bad2.num_samples = 0;
-  aggregate_module_wise(*zm.model, {bad1, bad2});
+  aggregate_module_wise_robust(*zm.model, {bad1, bad2});
   EXPECT_EQ(zm.model->shared_state(), shared_before);
   EXPECT_EQ(zm.model->module_state(0, 0), mod_before);
 }
@@ -236,11 +237,11 @@ TEST(Aggregation, InvalidServerMixThrows) {
   SubmodelSpec spec;
   spec.modules = {{0}};
   auto up = update_for(*zm.model, spec, 1.0f, 0.5, 10);
-  EXPECT_THROW(aggregate_module_wise(*zm.model, {up},
-                                     AggregationWeighting::kImportance, 0.0f),
+  EXPECT_THROW(aggregate_module_wise_robust(
+                   *zm.model, {up}, AggregationWeighting::kImportance, 0.0f),
                std::runtime_error);
-  EXPECT_THROW(aggregate_module_wise(*zm.model, {up},
-                                     AggregationWeighting::kImportance, 1.5f),
+  EXPECT_THROW(aggregate_module_wise_robust(
+                   *zm.model, {up}, AggregationWeighting::kImportance, 1.5f),
                std::runtime_error);
 }
 

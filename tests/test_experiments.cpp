@@ -177,5 +177,83 @@ TEST(PopulationViews, DeviceViewTestDrawsFromView) {
   for (auto y : view_test.labels) EXPECT_TRUE(allowed.count(y));
 }
 
+// ---- run_scenario on a tiny HAR fleet ---------------------------------------
+
+BenchScale tiny_scale() {
+  BenchScale s;
+  s.devices = 12;
+  s.devices_per_round = 6;
+  s.warm_rounds = 3;  // 6 rounds per run
+  s.eval_devices = 3;
+  s.test_samples = 32;
+  s.pretrain_epochs = 2;
+  return s;
+}
+
+ScenarioResult run_tiny(const ScenarioSpec& scenario) {
+  const BenchScale scale = tiny_scale();
+  TaskEnv env =
+      make_task_env(task_by_name("HAR", "1 subject"), scale, /*seed=*/6200);
+  return run_scenario(env, scale, scenario, /*seed=*/6300);
+}
+
+void expect_well_formed(const ScenarioResult& r, bool dynamics) {
+  EXPECT_EQ(r.round_reports.size(),
+            static_cast<std::size_t>(2 * tiny_scale().warm_rounds));
+  EXPECT_TRUE(r.nebula_finite);
+  EXPECT_TRUE(r.fedavg_finite);
+  EXPECT_GE(r.nebula_acc, 0.0);
+  EXPECT_LE(r.nebula_acc, 1.0);
+  if (dynamics) {
+    EXPECT_GT(r.churned_devices, 0);
+  } else {
+    EXPECT_EQ(r.churned_devices, 0);
+  }
+  // Without the recorder there is nothing to probe or to alert on.
+  EXPECT_TRUE(r.probe_accuracy.empty());
+  EXPECT_TRUE(r.alerts.empty());
+}
+
+TEST(Scenario, CleanFaultRunAggregatesEveryRound) {
+  const ScenarioResult r = run_tiny(ScenarioSpec{});
+  expect_well_formed(r, /*dynamics=*/false);
+  EXPECT_EQ(r.rounds_aggregated, 2 * tiny_scale().warm_rounds);
+  EXPECT_EQ(r.updates_dropped, 0);
+  EXPECT_EQ(r.updates_rejected, 0);
+  EXPECT_EQ(r.transfer_retries, 0);
+  EXPECT_GT(r.nebula_goodput_mb, 0.0);
+  EXPECT_EQ(r.nebula_overhead_mb, 0.0);
+}
+
+TEST(Scenario, ByzantineRunGatesTheCoalition) {
+  ScenarioSpec scenario;
+  scenario.label = "byzantine";
+  scenario.faults.byzantine_fraction = 0.3;
+  scenario.faults.byzantine_kind = ByzantineKind::kSignFlip;
+  scenario.faults.num_devices = tiny_scale().devices;
+  scenario.faults.seed = 6400;
+  scenario.robust.kind = RobustAggregatorKind::kTrimmedMean;
+  scenario.robust.anomaly_threshold = 4.0;
+  const ScenarioResult r = run_tiny(scenario);
+  expect_well_formed(r, /*dynamics=*/false);
+  EXPECT_GT(r.robust_rejected, 0);
+  EXPECT_GE(r.updates_rejected, r.robust_rejected);
+}
+
+TEST(Scenario, DriftOnsetRunChurnsOnlyFromTheOnset) {
+  ScenarioSpec scenario;
+  scenario.label = "drift";
+  scenario.drift_rate = 1.0f;
+  scenario.churn_prob = 0.5f;
+  scenario.onset_round = tiny_scale().warm_rounds;
+  scenario.monitor_dynamics = true;
+  const ScenarioResult r = run_tiny(scenario);
+  expect_well_formed(r, /*dynamics=*/true);
+
+  // The same spec with the onset past the last round never moves.
+  scenario.onset_round = 2 * tiny_scale().warm_rounds;
+  expect_well_formed(run_tiny(scenario), /*dynamics=*/false);
+}
+
 }  // namespace
 }  // namespace nebula

@@ -646,17 +646,17 @@ TEST(OnsetDetection, ByzantineAttackAlertsAtInjectedOnsetRound) {
   const BenchScale scale = tiny_scale();
   TaskSpec spec = task_by_name("HAR", "1 subject");
   TaskEnv env = make_task_env(spec, scale, /*seed=*/5100);
-  FaultConfig fc;
-  fc.byzantine_fraction = 0.5;
-  fc.byzantine_kind = ByzantineKind::kSignFlip;
-  fc.num_devices = scale.devices;
-  fc.seed = 5200;
-  RobustAggregationConfig robust;
-  robust.kind = RobustAggregatorKind::kTrimmedMean;
-  robust.anomaly_threshold = 4.0;
+  ScenarioSpec scenario;
+  scenario.label = "byzantine";
+  scenario.faults.byzantine_fraction = 0.5;
+  scenario.faults.byzantine_kind = ByzantineKind::kSignFlip;
+  scenario.faults.num_devices = scale.devices;
+  scenario.faults.seed = 5200;
+  scenario.robust.kind = RobustAggregatorKind::kTrimmedMean;
+  scenario.robust.anomaly_threshold = 4.0;
   const std::int64_t onset = scale.warm_rounds;
-  ByzantineSweepResult r = run_byzantine_comparison(env, scale, fc, robust,
-                                                    /*seed=*/5300, onset);
+  scenario.onset_round = onset;
+  ScenarioResult r = run_scenario(env, scale, scenario, /*seed=*/5300);
   ASSERT_FALSE(r.alerts.empty());
   bool at_onset = false;
   for (const Alert& a : r.alerts) {
@@ -675,9 +675,13 @@ TEST(OnsetDetection, EnvironmentShiftAlertsAtInjectedOnsetRound) {
   TaskSpec spec = task_by_name("HAR", "1 subject");
   TaskEnv env = make_task_env(spec, scale, /*seed=*/5400);
   const std::int64_t onset = scale.warm_rounds;
-  DriftSweepResult r =
-      run_drift_comparison(env, scale, /*drift_rate=*/1.0f,
-                           /*churn_prob=*/0.6f, /*seed=*/5500, onset);
+  ScenarioSpec scenario;
+  scenario.label = "drift";
+  scenario.drift_rate = 1.0f;
+  scenario.churn_prob = 0.6f;
+  scenario.onset_round = onset;
+  scenario.monitor_dynamics = true;
+  ScenarioResult r = run_scenario(env, scale, scenario, /*seed=*/5500);
   EXPECT_EQ(r.probe_accuracy.size(),
             static_cast<std::size_t>(2 * scale.warm_rounds));
   const auto churn_alerts = r.alerts;
@@ -689,6 +693,82 @@ TEST(OnsetDetection, EnvironmentShiftAlertsAtInjectedOnsetRound) {
                (a.monitor == obs::kMonChurnRate && a.round <= onset + 1);
   }
   EXPECT_TRUE(at_onset) << "churn-rate monitor missed the onset";
+}
+
+// ---- run_scenario and the recorder ------------------------------------------
+
+TEST(ScenarioRecording, ResultIsIdenticalWithRecorderOnAndOff) {
+  // A fault scenario without population dynamics does no recording-
+  // dependent work, so the recorder changes nothing in its result.
+  const BenchScale scale = tiny_scale();
+  TaskSpec spec = task_by_name("HAR", "1 subject");
+  ScenarioSpec scenario;
+  scenario.faults.dropout_prob = 0.3;
+  scenario.faults.straggler_prob = 0.1;
+  scenario.faults.transfer_failure_prob = 0.05;
+  scenario.faults.seed = 5600;
+  auto run = [&](bool recording) {
+    obs::recorder().set_enabled(recording);
+    TaskEnv env = make_task_env(spec, scale, /*seed=*/5700);
+    ScenarioResult r = run_scenario(env, scale, scenario, /*seed=*/5800);
+    obs::recorder().reset();
+    obs::recorder().set_enabled(false);
+    return r;
+  };
+  const ScenarioResult off = run(false);
+  const ScenarioResult on = run(true);
+  EXPECT_EQ(off.nebula_acc, on.nebula_acc);
+  EXPECT_EQ(off.fedavg_acc, on.fedavg_acc);
+  EXPECT_EQ(off.nebula_finite, on.nebula_finite);
+  EXPECT_EQ(off.fedavg_finite, on.fedavg_finite);
+  EXPECT_EQ(off.rounds_aggregated, on.rounds_aggregated);
+  EXPECT_EQ(off.updates_dropped, on.updates_dropped);
+  EXPECT_EQ(off.updates_rejected, on.updates_rejected);
+  EXPECT_EQ(off.robust_rejected, on.robust_rejected);
+  EXPECT_EQ(off.transfer_retries, on.transfer_retries);
+  EXPECT_EQ(off.churned_devices, on.churned_devices);
+  EXPECT_EQ(off.nebula_goodput_mb, on.nebula_goodput_mb);
+  EXPECT_EQ(off.nebula_overhead_mb, on.nebula_overhead_mb);
+  EXPECT_TRUE(off.probe_accuracy.empty() && on.probe_accuracy.empty());
+  ASSERT_EQ(off.round_reports.size(), on.round_reports.size());
+  for (std::size_t r = 0; r < off.round_reports.size(); ++r) {
+    EXPECT_EQ(off.round_reports[r].summary(), on.round_reports[r].summary());
+    EXPECT_EQ(off.round_reports[r].participants,
+              on.round_reports[r].participants);
+    EXPECT_EQ(off.round_reports[r].goodput_bytes,
+              on.round_reports[r].goodput_bytes);
+  }
+}
+
+TEST(ScenarioRecording, FedAvgLegsSkipDevicesWhoseRegionIsDown) {
+  // Both systems must face the same outage schedule: a FedAvg device whose
+  // region is down in round r never completes a leg in round r.
+  RecorderGuard guard;
+  const BenchScale scale = tiny_scale();
+  TaskSpec spec = task_by_name("HAR", "1 subject");
+  TaskEnv env = make_task_env(spec, scale, /*seed=*/5900);
+  assign_regions(env.profiles, 3);
+  ScenarioSpec scenario;
+  scenario.faults.regional_outage_prob = 0.4;
+  scenario.faults.seed = 6000;
+  run_scenario(env, scale, scenario, /*seed=*/6100);
+
+  const FaultInjector faults(scenario.faults);
+  std::int64_t completed = 0, down_selected = 0;
+  for (const obs::TimelineEvent& ev :
+       obs::recorder().timeline().all_events()) {
+    if (std::string(ev.source) != "fedavg") continue;
+    const bool down = faults.regional_outage(
+        ev.round, env.profiles[static_cast<std::size_t>(ev.device)].region);
+    if (ev.kind == TimelineKind::kSelected && down) ++down_selected;
+    if (ev.kind == TimelineKind::kCompleted) {
+      ++completed;
+      EXPECT_FALSE(down) << "device " << ev.device << " completed round "
+                         << ev.round << " while its region was down";
+    }
+  }
+  EXPECT_GT(completed, 0);
+  EXPECT_GT(down_selected, 0) << "no outage hit a selected device";
 }
 
 }  // namespace

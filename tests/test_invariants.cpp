@@ -26,7 +26,7 @@ TEST(Invariants, AggregationOfOwnStateIsIdentity) {
   auto clone = zm.model->clone();
   EdgeUpdate up = make_edge_update(
       *clone, {std::vector<double>(5, 0.2)}, 100);
-  aggregate_module_wise(*zm.model, {up});
+  aggregate_module_wise_robust(*zm.model, {up});
 
   for (std::size_t i = 0; i < before_shared.size(); ++i) {
     EXPECT_FLOAT_EQ(zm.model->shared_state()[i], before_shared[i]);

@@ -154,8 +154,9 @@ TEST(RobustAggregation, KrumPicksClusteredCandidate) {
 }
 
 TEST(RobustAggregation, DefaultConfigMatchesLegacyWrapper) {
-  // The default RobustAggregationConfig must be the original weighted-mean
-  // aggregation, bit for bit — same clouds, same updates, same result.
+  // The defaulted robust argument must be the explicit default config — the
+  // original weighted-mean aggregation, bit for bit — same clouds, same
+  // updates, same result.
   auto zm_a = make_cloud();
   auto zm_b = make_cloud();
   SubmodelSpec spec;
@@ -167,8 +168,8 @@ TEST(RobustAggregation, DefaultConfigMatchesLegacyWrapper) {
         update_for(cloud, spec, 5.5f, 0.5, 12),
     };
   };
-  aggregate_module_wise(*zm_a.model, mk(*zm_a.model),
-                        AggregationWeighting::kImportance, 0.5f);
+  aggregate_module_wise_robust(*zm_a.model, mk(*zm_a.model),
+                               AggregationWeighting::kImportance, 0.5f);
   auto out = aggregate_module_wise_robust(*zm_b.model, mk(*zm_b.model),
                                           AggregationWeighting::kImportance,
                                           0.5f, RobustAggregationConfig{});
@@ -614,19 +615,20 @@ TEST(ByzantineAcceptance, FedAvgCollapsesWhileTrimmedMeanNebulaHolds) {
   trimmed.kind = RobustAggregatorKind::kTrimmedMean;
   trimmed.anomaly_threshold = 4.0;
 
-  FaultConfig clean_fc;
-  clean_fc.seed = 8200;
-  FaultConfig attack_fc = clean_fc;
-  attack_fc.byzantine_fraction = 0.3;
-  attack_fc.byzantine_kind = ByzantineKind::kSignFlip;
-  attack_fc.num_devices = scale.devices;  // exactly 3 of 10 attackers
+  ScenarioSpec clean_spec;
+  clean_spec.label = "byzantine";
+  clean_spec.faults.seed = 8200;
+  clean_spec.robust = trimmed;
+  ScenarioSpec attack_spec = clean_spec;
+  attack_spec.faults.byzantine_fraction = 0.3;
+  attack_spec.faults.byzantine_kind = ByzantineKind::kSignFlip;
+  attack_spec.faults.num_devices = scale.devices;  // exactly 3 of 10 attackers
 
   TaskEnv clean_env = make_task_env(spec, scale, /*seed=*/8100);
-  const ByzantineSweepResult clean =
-      run_byzantine_comparison(clean_env, scale, clean_fc, trimmed, 8300);
+  const ScenarioResult clean = run_scenario(clean_env, scale, clean_spec, 8300);
   TaskEnv attack_env = make_task_env(spec, scale, /*seed=*/8100);
-  const ByzantineSweepResult attacked =
-      run_byzantine_comparison(attack_env, scale, attack_fc, trimmed, 8300);
+  const ScenarioResult attacked =
+      run_scenario(attack_env, scale, attack_spec, 8300);
 
   // Both models stay finite — sign flips are norm-preserving, not NaN bombs.
   EXPECT_TRUE(clean.nebula_finite && clean.fedavg_finite);

@@ -8,7 +8,14 @@
 //   ctest --test-dir build-tsan -L parallel
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -456,6 +463,179 @@ TEST(ParallelRound, TrainSeedsDoNotCollideAcrossProtocolFamilies) {
   // And within one family, distinct coordinates give distinct seeds.
   EXPECT_NE(derive_stream_seed(base, 0, 1, 0x10),
             derive_stream_seed(base, 1, 0, 0x10));
+}
+
+// ---- Exception contract of pool regions (DESIGN.md §8) ----------------------
+
+const std::vector<std::size_t> kExceptionPoolSizes = {1, 2, 4, 7};
+
+using Deadline = std::chrono::steady_clock::time_point;
+
+Deadline ten_seconds_from_now() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(10);
+}
+
+// Bounded spin until `counter` reaches `target`: a barrier on arrivals, not a
+// sleep. The deadline only keeps a broken pool from hanging the suite.
+void wait_for(const std::atomic<std::size_t>& counter, std::size_t target,
+              Deadline deadline = ten_seconds_from_now()) {
+  while (counter.load() < target &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+// One region of pool.size() one-item chunks whose participants each hold
+// their chunk until all have arrived, so every participant (caller included)
+// runs exactly one chunk. Calls body(item) after the barrier and returns the
+// worker index that ran each item.
+template <typename F>
+std::vector<std::size_t> run_one_chunk_each(ThreadPool& pool, const F& body) {
+  std::atomic<std::size_t> arrived{0};
+  const Deadline deadline = ten_seconds_from_now();
+  std::vector<std::size_t> ran_on(pool.size(), pool.size());
+  pool.parallel_for(0, pool.size(), [&](std::size_t i) {
+    arrived.fetch_add(1);
+    wait_for(arrived, pool.size(), deadline);
+    ran_on[i] = ThreadPool::current_worker_index();
+    body(i);
+  });
+  return ran_on;
+}
+
+// The message of the exception `region` rethrows, or "no throw".
+template <typename F>
+std::string rethrown_what(const F& region) {
+  try {
+    region();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no throw";
+}
+
+void expect_region_reaches_every_participant(ThreadPool& pool) {
+  std::vector<std::size_t> ran_on =
+      run_one_chunk_each(pool, [](std::size_t) {});
+  std::sort(ran_on.begin(), ran_on.end());
+  std::vector<std::size_t> all(pool.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  EXPECT_EQ(ran_on, all);
+}
+
+TEST(PoolExceptions, ThrowOnWorkerOrCallerIsRethrownOnCaller) {
+  for (const std::size_t workers : kExceptionPoolSizes) {
+    ThreadPool pool(workers);
+    // Index 0 is the calling thread; the last index is a worker thread
+    // whenever the pool has one.
+    for (const std::size_t thrower : {std::size_t{0}, workers - 1}) {
+      SCOPED_TRACE("pool size " + std::to_string(workers) + ", thrower " +
+                   std::to_string(thrower));
+      EXPECT_EQ(rethrown_what([&] {
+                  run_one_chunk_each(pool, [&](std::size_t) {
+                    if (ThreadPool::current_worker_index() == thrower) {
+                      throw std::runtime_error("thrown on " +
+                                               std::to_string(thrower));
+                    }
+                  });
+                }),
+                "thrown on " + std::to_string(thrower));
+      EXPECT_EQ(ThreadPool::current_worker_index(), 0u);
+      expect_region_reaches_every_participant(pool);
+    }
+  }
+}
+
+TEST(PoolExceptions, LowestThrowingIterationIsRethrownForEveryPoolSize) {
+  for (const std::size_t workers : kExceptionPoolSizes) {
+    SCOPED_TRACE("pool size " + std::to_string(workers));
+    ThreadPool pool(workers);
+    EXPECT_EQ(rethrown_what([&] {
+                pool.parallel_for(0, 100, [](std::size_t i) {
+                  if (i == 13 || i == 57 || i == 90) {
+                    throw std::runtime_error(std::to_string(i));
+                  }
+                });
+              }),
+              "13");
+    if (workers < 3) continue;
+    // Items 1..n-1 throw concurrently, one per participant. The lowest one
+    // wins whether it throws last or first.
+    std::atomic<std::size_t> others_thrown{0};
+    EXPECT_EQ(rethrown_what([&] {
+                run_one_chunk_each(pool, [&](std::size_t i) {
+                  if (i == 0) return;
+                  if (i == 1) wait_for(others_thrown, workers - 2);
+                  if (i > 1) others_thrown.fetch_add(1);
+                  throw std::runtime_error(std::to_string(i));
+                });
+              }),
+              "1");
+    std::atomic<std::size_t> lowest_thrown{0};
+    EXPECT_EQ(rethrown_what([&] {
+                run_one_chunk_each(pool, [&](std::size_t i) {
+                  if (i == 0) return;
+                  if (i == 1) {
+                    lowest_thrown.store(1);
+                  } else {
+                    wait_for(lowest_thrown, 1);
+                  }
+                  throw std::runtime_error(std::to_string(i));
+                });
+              }),
+              "1");
+    expect_region_reaches_every_participant(pool);
+  }
+}
+
+TEST(PoolExceptions, ThrowingReduceBodySkipsMergeAndLeavesArenaUsable) {
+  for (const std::size_t workers : kExceptionPoolSizes) {
+    SCOPED_TRACE("pool size " + std::to_string(workers));
+    ThreadPool pool(workers);
+    bool merged = false;
+    EXPECT_EQ(rethrown_what([&] {
+                pool.reduce_ordered(
+                    0, 64, 4,
+                    [](std::size_t lo, std::size_t hi, float* acc) {
+                      if (lo <= 40 && 40 < hi) {
+                        throw std::runtime_error("reduce body");
+                      }
+                      acc[0] += static_cast<float>(hi - lo);
+                    },
+                    [&](const float*) { merged = true; });
+              }),
+              "reduce body");
+    EXPECT_FALSE(merged);
+    // The arena lease was released on unwind: the next reduction on the
+    // same pool starts from zeroed slots and sums exactly.
+    float total = -1.0f;
+    pool.reduce_ordered(
+        0, 64, 4,
+        [](std::size_t lo, std::size_t hi, float* acc) {
+          for (std::size_t i = lo; i < hi; ++i) acc[i % 4] += 1.0f;
+        },
+        [&](const float* sum) { total = sum[0] + sum[1] + sum[2] + sum[3]; });
+    EXPECT_EQ(total, 64.0f);
+    expect_region_reaches_every_participant(pool);
+  }
+}
+
+TEST(PoolExceptions, NestedInlineThrowPropagatesThroughOuterRegion) {
+  for (const std::size_t workers : kExceptionPoolSizes) {
+    SCOPED_TRACE("pool size " + std::to_string(workers));
+    ThreadPool pool(workers);
+    EXPECT_EQ(rethrown_what([&] {
+                pool.parallel_for(0, 8, [&](std::size_t i) {
+                  pool.parallel_for(0, 4, [&](std::size_t j) {
+                    if (i == 5 && j == 2) {
+                      throw std::runtime_error("nested 5/2");
+                    }
+                  });
+                });
+              }),
+              "nested 5/2");
+    expect_region_reaches_every_participant(pool);
+  }
 }
 
 }  // namespace
