@@ -205,6 +205,51 @@ void BM_ModularForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ModularForward)->Arg(8)->Arg(16)->Arg(32);
 
+// The HAR MLP's 48->6 head products at batch 16, all under the naive
+// threshold, with A half zeros in random places as after a ReLU:
+//   0: forward   y(16x6)   = x(16x48) · W(48x6)     NN
+//   1: dW        dW(48x6) += x^T · dy(16x6)         TN
+//   2: dx        dx(16x48) = dy(16x6) · W^T         NT
+// Each iteration takes the next of 32 such A operands, so the zeros sit in
+// new places every call, as they do from one mini-batch to the next; a
+// dense or repeated operand cannot show the cost of branching on them.
+void BM_GemmHeadSparse(benchmark::State& state) {
+  struct Shape {
+    Trans ta, tb;
+    std::int64_t m, n, k;
+    const char* label;
+  };
+  static const Shape shapes[] = {
+      {Trans::N, Trans::N, 16, 6, 48, "16x6x48 NN"},
+      {Trans::T, Trans::N, 48, 6, 16, "48x6x16 TN"},
+      {Trans::N, Trans::T, 16, 48, 6, "16x48x6 NT"},
+  };
+  const Shape& s = shapes[state.range(0)];
+  constexpr std::size_t kOperands = 32;
+  Rng rng(14);
+  std::vector<std::vector<float>> as(kOperands);
+  for (auto& a : as) {
+    a.resize(static_cast<std::size_t>(s.m * s.k));
+    for (float& v : a) v = rng.uniform() < 0.5f ? 0.0f : rng.normal();
+  }
+  std::vector<float> b(static_cast<std::size_t>(s.k * s.n));
+  std::vector<float> c(static_cast<std::size_t>(s.m * s.n));
+  for (float& v : b) v = rng.normal();
+  const std::int64_t lda = s.ta == Trans::N ? s.k : s.m;
+  const std::int64_t ldb = s.tb == Trans::N ? s.n : s.k;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    gemm(s.ta, s.tb, s.m, s.n, s.k, as[next].data(), lda, b.data(), ldb,
+         c.data(), s.n, s.ta == Trans::T);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % kOperands;
+  }
+  state.SetLabel(s.label);
+  state.SetItemsProcessed(state.iterations() * 2 * s.m * s.n * s.k);
+}
+BENCHMARK(BM_GemmHeadSparse)->DenseRange(0, 2);
+
 // A module-layer-shaped batch of tiny matmuls — `count` sub-batches through
 // per-module weights — dispatched as one gemm_batched call.
 void BM_GemmBatched(benchmark::State& state) {

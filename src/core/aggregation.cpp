@@ -24,7 +24,9 @@ bool rms_within(const std::vector<float>& v, double bound) {
   return std::sqrt(ss / static_cast<double>(v.size())) <= bound;
 }
 
-double median_of(std::vector<double> v) {
+}  // namespace
+
+double median_in_place(std::vector<double>& v) {
   if (v.empty()) return 0.0;
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -37,6 +39,8 @@ double median_of(std::vector<double> v) {
   return m;
 }
 
+namespace {
+
 /// Coordinate-wise median of equal-length states.
 std::vector<double> coordinate_median(
     const std::vector<const std::vector<float>*>& states) {
@@ -44,7 +48,7 @@ std::vector<double> coordinate_median(
   std::vector<double> col(states.size());
   for (std::size_t i = 0; i < med.size(); ++i) {
     for (std::size_t k = 0; k < states.size(); ++k) col[k] = (*states[k])[i];
-    med[i] = median_of(col);
+    med[i] = median_in_place(col);
   }
   return med;
 }
@@ -122,7 +126,7 @@ void fold_robust(std::vector<float>& merged,
       std::vector<double> col(n);
       for (std::size_t i = 0; i < merged.size(); ++i) {
         for (std::size_t k = 0; k < n; ++k) col[k] = (*states[k])[i];
-        merged[i] += server_mix * static_cast<float>(median_of(col));
+        merged[i] += server_mix * static_cast<float>(median_in_place(col));
       }
       return;
     }
@@ -172,7 +176,8 @@ std::vector<double> anomaly_scores_for(
     for (std::size_t k = 0; k < carriers.size(); ++k) {
       d[k] = rms_distance(*states[k], med);
     }
-    const double scale = median_of(d);
+    std::vector<double> order = d;  // d itself is read again below
+    const double scale = median_in_place(order);
     for (std::size_t k = 0; k < carriers.size(); ++k) {
       score_sum[carriers[k]] += d[k] / (scale + kEps);
       ++score_n[carriers[k]];

@@ -67,6 +67,11 @@ enum class RobustAggregatorKind {
 
 const char* robust_aggregator_name(RobustAggregatorKind k);
 
+/// Median of `v` (mean of the two middle values for an even size, 0 when
+/// empty). Reorders `v` instead of copying it: the coordinate-wise
+/// statistics call it once per coordinate on one reused buffer.
+double median_in_place(std::vector<double>& v);
+
 /// Robust-aggregation policy. The default (weighted mean, no anomaly gate)
 /// reproduces the original aggregation path bit-for-bit.
 struct RobustAggregationConfig {

@@ -404,65 +404,91 @@ inline void zero_c_rows(std::int64_t m, std::int64_t n, float* c,
   }
 }
 
+// Sub-threshold products (m·n·k <= kNaiveFlopThreshold, which bounds every
+// scratch array below). Contract, DESIGN.md §12: each output element sees
+// the textbook loop's float operations in the textbook order — p ascending,
+// starting from C (B read row-wise) or from a 0.0f partial sum added to C at
+// the end (B read column-wise) — and no branch tests an entry's value.
+
+// c[0:n) += val[q] · rows[q][0:n) for q = 0, 1, ..., count-1, one q after
+// the other, so every c[j] sees the plain loop's adds in the plain loop's
+// order. Four rows go per pass over j, which keeps c[j] in a register across
+// them instead of storing and reloading it after every row.
+inline void add_scaled_rows(std::int64_t n, std::int64_t count,
+                            const float* val, const float* const* rows,
+                            float* NEBULA_RESTRICT c) {
+  std::int64_t q = 0;
+  for (; q + 4 <= count; q += 4) {
+    const float v0 = val[q], v1 = val[q + 1], v2 = val[q + 2],
+                v3 = val[q + 3];
+    const float* NEBULA_RESTRICT r0 = rows[q];
+    const float* NEBULA_RESTRICT r1 = rows[q + 1];
+    const float* NEBULA_RESTRICT r2 = rows[q + 2];
+    const float* NEBULA_RESTRICT r3 = rows[q + 3];
+    for (std::int64_t j = 0; j < n; ++j) {
+      c[j] = c[j] + v0 * r0[j] + v1 * r1[j] + v2 * r2[j] + v3 * r3[j];
+    }
+  }
+  for (; q < count; ++q) {
+    const float v = val[q];
+    const float* NEBULA_RESTRICT r = rows[q];
+    for (std::int64_t j = 0; j < n; ++j) c[j] += v * r[j];
+  }
+}
+
 void gemm_naive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                 std::int64_t k, const float* a, std::int64_t lda,
                 const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
                 bool accumulate) {
-  if (!accumulate) {
+  NEBULA_CHECK(m * n * k <= kNaiveFlopThreshold);
+  if (!accumulate) zero_c_rows(m, n, c, ldc);
+  // op(A)(i, p) = a[i * a_row + p * a_col].
+  const std::int64_t a_row = ta == Trans::N ? lda : 1;
+  const std::int64_t a_col = ta == Trans::N ? 1 : lda;
+  float val[kNaiveFlopThreshold];
+  const float* rows[kNaiveFlopThreshold];
+  if (tb == Trans::N) {
+    // C's row i takes the rows of B facing the nonzero entries of op(A)'s
+    // row i, gathered without branching. Skipping exactly these keeps the
+    // plain loop's skip: 0·Inf never makes a NaN, a −0 entry is skipped
+    // too, and a −0 accumulator stays −0.
     for (std::int64_t i = 0; i < m; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    }
-  }
-  if (ta == Trans::N && tb == Trans::N) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* ai = a + i * lda;
-      float* ci = c + i * ldc;
+      const float* ai = a + i * a_row;
+      std::int64_t nnz = 0;
       for (std::int64_t p = 0; p < k; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const float* bp = b + p * ldb;
-        for (std::int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+        const float av = ai[p * a_col];
+        val[nnz] = av;
+        rows[nnz] = b + p * ldb;
+        nnz += av != 0.0f;
       }
+      add_scaled_rows(n, nnz, val, rows, c + i * ldc);
     }
-  } else if (ta == Trans::N && tb == Trans::T) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* ai = a + i * lda;
-      float* ci = c + i * ldc;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* bj = b + j * ldb;
-        float s = 0.0f;
-        for (std::int64_t p = 0; p < k; ++p) s += ai[p] * bj[p];
-        ci[j] += s;
-      }
-    }
-  } else if (ta == Trans::T && tb == Trans::N) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float* ap = a + p * lda;
-      const float* bp = b + p * ldb;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float av = ap[i];
-        if (av == 0.0f) continue;
-        float* ci = c + i * ldc;
-        for (std::int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
-      }
-    }
-  } else {  // T, T
-    for (std::int64_t i = 0; i < m; ++i) {
-      float* ci = c + i * ldc;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* bj = b + j * ldb;
-        float s = 0.0f;
-        for (std::int64_t p = 0; p < k; ++p) s += a[p * lda + i] * bj[p];
-        ci[j] += s;
-      }
-    }
+    return;
+  }
+  // B read column-wise: transposed into bt(k, n), the j loop runs over
+  // contiguous memory while each s[j] still sums p in ascending order from
+  // 0.0f before it is added to C.
+  float bt[kNaiveFlopThreshold];
+  float s[kNaiveFlopThreshold];
+  for (std::int64_t j = 0; j < n; ++j) {
+    const float* bj = b + j * ldb;
+    for (std::int64_t p = 0; p < k; ++p) bt[p * n + j] = bj[p];
+  }
+  for (std::int64_t p = 0; p < k; ++p) rows[p] = bt + p * n;
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_row;
+    for (std::int64_t p = 0; p < k; ++p) val[p] = ai[p * a_col];
+    std::fill(s, s + n, 0.0f);
+    add_scaled_rows(n, k, val, rows, s);
+    float* ci = c + i * ldc;
+    for (std::int64_t j = 0; j < n; ++j) ci[j] += s[j];
   }
 }
 
-// Naive paths reading B through the im2col map. Loop structure and float
-// operation order match gemm_naive (N,N) / (N,T) exactly — including the
-// zero-skip on A and the += of out-of-image zeros — so the fused path is
-// bit-identical to materialising col first.
+// Naive paths reading B through the im2col map. Per output element the float
+// operations and their order match gemm_naive (N,N) / (N,T) exactly —
+// including the skip of A's zero entries and the += of out-of-image zeros —
+// so the fused path is bit-identical to materialising col first.
 
 // Virtual column element under tap t at the cursor's pixel.
 inline float im2col_at(const float* img, const Im2colMap& m, const KTap& t,
@@ -479,13 +505,18 @@ void gemm_naive_im2col_n(std::int64_t m, std::int64_t n, std::int64_t k,
                          const Im2colMap& map, float* c, std::int64_t ldc,
                          bool accumulate) {
   if (!accumulate) zero_c_rows(m, n, c, ldc);
+  std::int64_t nonzero[kNaiveFlopThreshold];
   for (std::int64_t i = 0; i < m; ++i) {
     const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
+    std::int64_t nnz = 0;
     for (std::int64_t p = 0; p < k; ++p) {
-      const float av = ai[p];
-      if (av == 0.0f) continue;
-      const KTap t = ktap(map, p);
+      nonzero[nnz] = p;
+      nnz += ai[p] != 0.0f;
+    }
+    float* ci = c + i * ldc;
+    for (std::int64_t q = 0; q < nnz; ++q) {
+      const float av = ai[nonzero[q]];
+      const KTap t = ktap(map, nonzero[q]);
       PixelCursor at(map, 0);
       for (std::int64_t j = 0; j < n; ++j, at.next(map)) {
         ci[j] += av * im2col_at(img, map, t, at);

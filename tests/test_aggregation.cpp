@@ -1,14 +1,56 @@
 // Module-wise sub-model aggregation tests (§5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "common/rng.h"
 #include "core/aggregation.h"
 #include "core/model_zoo.h"
 
 namespace nebula {
 namespace {
+
+double sort_median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+// The in-place median equals a sort-based median, and leaves a permutation
+// of its input behind.
+TEST(MedianInPlace, MatchesSortBasedMedian) {
+  std::vector<std::vector<double>> cases = {
+      {7.0},
+      {3.0, 1.0, 2.0},
+      {4.0, 1.0, 3.0, 2.0},
+      {2.0, 2.0, 2.0, 1.0, 2.0},
+      {5.0, 5.0, 1.0, 1.0},
+      {-0.0, 0.0, 0.0},
+      {0.0, -0.0},
+      {-0.0, 0.0, -1.0, 1.0},
+      {-0.0, -0.0, 0.0, 0.0, 3.0},
+  };
+  Rng rng(4040);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<double> v(n);
+    // Few distinct values, so duplicates are common.
+    for (double& x : v) x = static_cast<double>(rng.uniform_int(5)) - 2.0;
+    cases.push_back(v);
+  }
+  for (const auto& c : cases) {
+    std::vector<double> buf = c;
+    const double got = median_in_place(buf);
+    EXPECT_EQ(got, sort_median(c)) << "n=" << c.size();
+    std::vector<double> a = buf, b = c;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_EQ(a, b) << "n=" << c.size();
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(median_in_place(empty), 0.0);
+}
 
 ZooModel make_cloud() {
   ZooOptions opts;

@@ -11,7 +11,10 @@
 //    dx, dW and db;
 //  * fused im2col vs explicit: gemm_im2col against materialise-then-gemm,
 //    bit-identical, on single- and multi-image maps;
-//  * gemm_batched vs looped gemm, bit-identical.
+//  * gemm_batched vs looped gemm, bit-identical;
+//  * the sub-threshold naive path against a verbatim copy of its original
+//    branchy loops, bit-identical, through gemm, gemm_batched and
+//    gemm_column_groups.
 //
 // CTest runs this binary twice (label `kernels`): once with runtime dispatch
 // and once under NEBULA_FORCE_PORTABLE_KERNEL=1, where the SIMD comparisons
@@ -20,6 +23,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -489,6 +493,11 @@ TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
     fill_random(x, rng);
     fill_random(wgt, rng);
     fill_random(gy, rng);
+    // Half the weights zero, so the naive forward's skip of zero entries
+    // of A runs against the materialised lowering too.
+    for (std::int64_t i = 0; i < wgt.numel(); ++i) {
+      if (rng.uniform() < 0.5f) wgt[static_cast<std::size_t>(i)] = 0.0f;
+    }
     Tensor col({rows, cols});
     for (std::int64_t b = 0; b < cc.batch; ++b) {
       im2col(x.data() + b * map.volume(), cc.in_c, cc.h, cc.w, cc.k, cc.k,
@@ -632,6 +641,248 @@ TEST(GemmBatched, BitIdenticalToLoopedGemm) {
         SCOPED_TRACE(testing::Message() << "item " << i);
         expect_bits_equal(c_batch[i].data(), c_loop[i].data(),
                           c_batch[i].numel(), "gemm_batched");
+      }
+    }
+  }
+}
+
+// ---- Naive path vs its original loops ---------------------------------------
+
+// gemm_naive as it was written before its loops were made branch-free, kept
+// verbatim as the bitwise reference.
+void reference_naive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                     std::int64_t k, const float* a, std::int64_t lda,
+                     const float* b, std::int64_t ldb, float* c,
+                     std::int64_t ldc, bool accumulate) {
+  if (!accumulate) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+    }
+  }
+  if (ta == Trans::N && tb == Trans::N) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* ai = a + i * lda;
+      float* ci = c + i * ldc;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = ai[p];
+        if (av == 0.0f) continue;
+        const float* bp = b + p * ldb;
+        for (std::int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+      }
+    }
+  } else if (ta == Trans::N && tb == Trans::T) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* ai = a + i * lda;
+      float* ci = c + i * ldc;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float* bj = b + j * ldb;
+        float s = 0.0f;
+        for (std::int64_t p = 0; p < k; ++p) s += ai[p] * bj[p];
+        ci[j] += s;
+      }
+    }
+  } else if (ta == Trans::T && tb == Trans::N) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float* ap = a + p * lda;
+      const float* bp = b + p * ldb;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float av = ap[i];
+        if (av == 0.0f) continue;
+        float* ci = c + i * ldc;
+        for (std::int64_t j = 0; j < n; ++j) ci[j] += av * bp[j];
+      }
+    }
+  } else {  // T, T
+    for (std::int64_t i = 0; i < m; ++i) {
+      float* ci = c + i * ldc;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float* bj = b + j * ldb;
+        float s = 0.0f;
+        for (std::int64_t p = 0; p < k; ++p) s += a[p * lda + i] * bj[p];
+        ci[j] += s;
+      }
+    }
+  }
+}
+
+enum class Zeros { kHalf, kAll, kNone };
+
+// Operands of one naive product, stored with leading dimensions larger than
+// their rows so that padding is present (and must stay untouched in C).
+struct NaiveCase {
+  Trans ta, tb;
+  std::int64_t m, n, k, lda, ldb, ldc;
+  std::vector<float> a, b, c0;
+
+  float& op_a(std::int64_t i, std::int64_t p) {
+    return ta == Trans::N ? a[i * lda + p] : a[p * lda + i];
+  }
+  float& op_b(std::int64_t p, std::int64_t j) {
+    return tb == Trans::N ? b[p * ldb + j] : b[j * ldb + p];
+  }
+};
+
+// `special`: op(A)'s first and last columns are zero while op(B)'s rows
+// there hold +Inf and NaN (in different columns, so that no output element
+// mixes two NaN sources), and an accumulating C starts at −0.
+NaiveCase make_naive_case(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                          std::int64_t k, Zeros zeros, bool special,
+                          Rng& rng) {
+  NaiveCase nc{ta, tb, m, n, k, 0, 0, n + 5, {}, {}, {}};
+  nc.lda = (ta == Trans::N ? k : m) + 3;
+  nc.ldb = (tb == Trans::N ? n : k) + 2;
+  nc.a.resize(static_cast<std::size_t>((ta == Trans::N ? m : k) * nc.lda));
+  nc.b.resize(static_cast<std::size_t>((tb == Trans::N ? k : n) * nc.ldb));
+  nc.c0.resize(static_cast<std::size_t>(m * nc.ldc));
+  for (float& v : nc.a) {
+    v = rng.normal();
+    const bool zero =
+        zeros == Zeros::kAll || (zeros == Zeros::kHalf && rng.uniform() < 0.5);
+    if (zero) {
+      v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+    } else if (v == 0.0f) {
+      v = 1.0f;
+    }
+  }
+  for (float& v : nc.b) v = rng.normal();
+  for (float& v : nc.c0) v = special ? -0.0f : rng.normal();
+  if (special && n >= 2) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      nc.op_a(i, 0) = 0.0f;
+      nc.op_a(i, k - 1) = -0.0f;
+    }
+    nc.op_b(0, 0) = std::numeric_limits<float>::infinity();
+    nc.op_b(k - 1, n - 1) = std::numeric_limits<float>::quiet_NaN();
+  }
+  return nc;
+}
+
+// Sub-threshold shapes: the three 48->6 head products of the HAR model, odd
+// and degenerate sizes, and products exactly at the 8192-MAC threshold.
+struct NaiveShape {
+  std::int64_t m, n, k;
+};
+const NaiveShape kNaiveShapes[] = {
+    {16, 6, 48}, {48, 6, 16}, {16, 48, 6}, {1, 1, 1},   {3, 5, 7},
+    {7, 1, 9},   {5, 13, 3},  {1, 64, 128}, {2, 2, 2048}, {9, 17, 31},
+    {1, 512, 16}, {128, 8, 8},
+};
+
+TEST(NaiveGemm, BitIdenticalToOriginalLoops) {
+  Rng rng(777);
+  for (const auto& s : kNaiveShapes) {
+    ASSERT_LE(s.m * s.n * s.k, 8192) << "shape must take the naive path";
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const Zeros zeros : {Zeros::kHalf, Zeros::kAll, Zeros::kNone}) {
+          for (const bool special : {false, true}) {
+            NaiveCase nc =
+                make_naive_case(ta, tb, s.m, s.n, s.k, zeros, special, rng);
+            for (const bool accumulate : {false, true}) {
+              SCOPED_TRACE(testing::Message()
+                           << "m=" << s.m << " n=" << s.n << " k=" << s.k
+                           << " ta=" << (ta == Trans::T ? "T" : "N")
+                           << " tb=" << (tb == Trans::T ? "T" : "N")
+                           << " zeros=" << static_cast<int>(zeros)
+                           << " special=" << special
+                           << " accumulate=" << accumulate);
+              std::vector<float> want = nc.c0, got = nc.c0;
+              reference_naive(ta, tb, s.m, s.n, s.k, nc.a.data(), nc.lda,
+                              nc.b.data(), nc.ldb, want.data(), nc.ldc,
+                              accumulate);
+              gemm(ta, tb, s.m, s.n, s.k, nc.a.data(), nc.lda, nc.b.data(),
+                   nc.ldb, got.data(), nc.ldc, accumulate);
+              expect_bits_equal(got.data(), want.data(),
+                                static_cast<std::int64_t>(got.size()), "gemm");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NaiveGemm, BatchedItemsBitIdenticalToOriginalLoops) {
+  Rng rng(778);
+  for (const Trans ta : {Trans::N, Trans::T}) {
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      for (const bool special : {false, true}) {
+        std::vector<NaiveCase> cases;
+        for (const auto& s : kNaiveShapes) {
+          cases.push_back(make_naive_case(ta, tb, s.m, s.n, s.k, Zeros::kHalf,
+                                          special, rng));
+        }
+        for (const bool accumulate : {false, true}) {
+          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            ScopedPool scope(threads);
+            SCOPED_TRACE(testing::Message()
+                         << "ta=" << (ta == Trans::T ? "T" : "N")
+                         << " tb=" << (tb == Trans::T ? "T" : "N")
+                         << " special=" << special << " accumulate="
+                         << accumulate << " threads=" << threads);
+            std::vector<std::vector<float>> got, want;
+            std::vector<GemmBatchItem> items;
+            for (NaiveCase& nc : cases) {
+              want.push_back(nc.c0);
+              reference_naive(ta, tb, nc.m, nc.n, nc.k, nc.a.data(), nc.lda,
+                              nc.b.data(), nc.ldb, want.back().data(), nc.ldc,
+                              accumulate);
+              got.push_back(nc.c0);
+            }
+            for (std::size_t i = 0; i < cases.size(); ++i) {
+              const NaiveCase& nc = cases[i];
+              items.push_back({nc.m, nc.n, nc.k, nc.a.data(), nc.lda,
+                               nc.b.data(), nc.ldb, got[i].data(), nc.ldc});
+            }
+            gemm_batched(ta, tb, items.data(), items.size(), accumulate);
+            for (std::size_t i = 0; i < cases.size(); ++i) {
+              SCOPED_TRACE(testing::Message() << "item " << i);
+              expect_bits_equal(got[i].data(), want[i].data(),
+                                static_cast<std::int64_t>(got[i].size()),
+                                "gemm_batched");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NaiveGemm, ColumnGroupsBitIdenticalToOriginalLoops) {
+  struct GroupShape {
+    std::int64_t m, n, k, group;
+  };
+  const GroupShape shapes[] = {
+      {16, 6, 48, 3}, {48, 6, 16, 2}, {16, 48, 6, 8}, {9, 35, 25, 7},
+  };
+  Rng rng(779);
+  for (const auto& s : shapes) {
+    ASSERT_LE(s.m * s.n * s.k, 8192) << "shape must take the naive path";
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const bool special : {false, true}) {
+        NaiveCase nc = make_naive_case(ta, Trans::N, s.m, s.n, s.k,
+                                       Zeros::kHalf, special, rng);
+        for (const bool accumulate : {false, true}) {
+          std::vector<float> want = nc.c0;
+          reference_naive(ta, Trans::N, s.m, s.n, s.k, nc.a.data(), nc.lda,
+                          nc.b.data(), nc.ldb, want.data(), nc.ldc,
+                          accumulate);
+          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            ScopedPool scope(threads);
+            SCOPED_TRACE(testing::Message()
+                         << "m=" << s.m << " n=" << s.n << " k=" << s.k
+                         << " ta=" << (ta == Trans::T ? "T" : "N")
+                         << " special=" << special << " accumulate="
+                         << accumulate << " threads=" << threads);
+            std::vector<float> got = nc.c0;
+            gemm_column_groups(ta, s.m, s.n, s.k, nc.a.data(), nc.lda,
+                               nc.b.data(), nc.ldb, got.data(), nc.ldc,
+                               accumulate, s.group);
+            expect_bits_equal(got.data(), want.data(),
+                              static_cast<std::int64_t>(got.size()),
+                              "gemm_column_groups");
+          }
+        }
       }
     }
   }

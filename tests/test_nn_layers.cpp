@@ -2,6 +2,9 @@
 // checks for every trainable layer and container.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "nn/batchnorm.h"
 #include "tensor/ops.h"
 #include "nn/init.h"
@@ -69,6 +72,45 @@ TEST(ReLU, ZeroesNegativesAndGradients) {
   Tensor dx = relu.backward(g);
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
+}
+
+// Edge cases of the branch-free forward: NaN and both zeros map to +0 with
+// mask 0, denormals keep their bits, and backward multiplies by the mask.
+TEST(ReLU, SpecialValuesKeepOutputsAndMasks) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float tiny = std::numeric_limits<float>::min();
+  const std::vector<float> in = {nan,   -nan, 0.0f, -0.0f, denorm, -denorm,
+                                 tiny, -tiny, inf,  -inf,  1.5f,   -2.5f};
+  const std::vector<float> out = {0.0f, 0.0f, 0.0f, 0.0f, denorm, 0.0f,
+                                  tiny, 0.0f, inf,  0.0f, 1.5f,   0.0f};
+  const std::vector<float> mask = {0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0};
+  // Repeated past a vector width so both the vector body and the tail run.
+  std::vector<float> x, want_y, want_mask, g, want_dx;
+  Rng rng(31);
+  for (int rep = 0; rep < 7; ++rep) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      x.push_back(in[i]);
+      want_y.push_back(out[i]);
+      want_mask.push_back(mask[i]);
+      g.push_back(rng.normal());
+      want_dx.push_back(g.back() * mask[i]);
+    }
+  }
+  const auto n = static_cast<std::int64_t>(x.size());
+  const auto bytes = x.size() * sizeof(float);
+  ReLU relu;
+  const Tensor xt({1, n}, x);
+  const Tensor y_eval = relu.forward(xt, false);
+  EXPECT_EQ(std::memcmp(y_eval.data(), want_y.data(), bytes), 0);
+  const Tensor y = relu.forward(xt, true);
+  EXPECT_EQ(std::memcmp(y.data(), want_y.data(), bytes), 0);
+  const Tensor ones({1, n}, std::vector<float>(x.size(), 1.0f));
+  const Tensor m = relu.backward(ones);
+  EXPECT_EQ(std::memcmp(m.data(), want_mask.data(), bytes), 0);
+  const Tensor dx = relu.backward(Tensor({1, n}, g));
+  EXPECT_EQ(std::memcmp(dx.data(), want_dx.data(), bytes), 0);
 }
 
 TEST(Dropout, EvalModeIsIdentity) {
