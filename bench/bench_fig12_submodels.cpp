@@ -44,10 +44,10 @@ SubmodelSpec random_spec(ModularModel& cloud, Rng& rng) {
 }
 
 double spec_params_k(ModularModel& cloud, const SubmodelSpec& spec) {
-  double p = static_cast<double>(cloud.shared_state().size());
+  double p = static_cast<double>(cloud.shared_state_size());
   for (std::size_t l = 0; l < spec.modules.size(); ++l) {
     for (std::int64_t gid : spec.modules[l]) {
-      p += static_cast<double>(cloud.module_state(l, gid).size());
+      p += static_cast<double>(cloud.module_state_size(l, gid));
     }
   }
   return p / 1000.0;

@@ -7,6 +7,7 @@
 #include "core/aggregation.h"
 #include "core/model_zoo.h"
 #include "core/module_layer.h"
+#include "core/train.h"
 #include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/layers_basic.h"
@@ -355,6 +356,50 @@ void BM_Assignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Assignment)->Args({5, 16})->Args({10, 32})->Args({20, 64});
+
+// One har_robust_fleet edge leg's selector-bound work, as NebulaSystem's
+// round runs it: importance for derivation, local training with the
+// selector frozen, importance again for the upload. A 100-sample local set
+// on the HAR MLP with 32 modules per layer, training a sub-model of two of
+// them (the workload's legs average 100 samples and 1.4 modules).
+// Consecutive iterations alternate between two devices' data, as
+// consecutive legs of a round do. Runs on a 1-worker pool, as each leg does.
+void BM_EdgeLegHar(benchmark::State& state) {
+  ThreadPool serial(1);
+  ThreadPool* prev = ThreadPool::set_global(&serial);
+  ZooOptions opts;
+  opts.modules_per_layer = 32;
+  auto zm = make_modular_mlp(32, 6, opts);
+  SubmodelSpec spec;
+  spec.modules.resize(zm.model->num_module_layers());
+  for (auto& layer : spec.modules) layer = {0, 16};
+  auto sub = zm.model->derive_submodel(spec);
+  Rng rng(12);
+  std::vector<Dataset> local(2);
+  for (Dataset& d : local) {
+    d.num_classes = 6;
+    d.sample_shape = {32};
+    d.features = Tensor({100, 32});
+    for (std::int64_t i = 0; i < d.features.numel(); ++i) {
+      d.features[static_cast<std::size_t>(i)] = rng.normal();
+    }
+    for (int i = 0; i < 100; ++i) {
+      d.labels.push_back(static_cast<std::int64_t>(rng.uniform_int(6)));
+    }
+  }
+  TrainConfig cfg;
+  cfg.train_selector = false;
+  std::size_t leg = 0;
+  for (auto _ : state) {
+    const Dataset& data = local[leg++ % local.size()];
+    auto imp = zm.selector->importance(data.features);
+    train_modular(*sub, *zm.selector, data, cfg);
+    imp = zm.selector->importance(data.features);
+    benchmark::DoNotOptimize(imp.data());
+  }
+  ThreadPool::set_global(prev);
+}
+BENCHMARK(BM_EdgeLegHar);
 
 void BM_ModuleWiseAggregation(benchmark::State& state) {
   ZooOptions opts;

@@ -42,10 +42,10 @@ int main() {
     std::int64_t params = 0;
     for (std::size_t l = 0; l < der.spec.modules.size(); ++l) {
       for (std::int64_t gid : der.spec.modules[l]) {
-        params += static_cast<std::int64_t>(sub->module_state(l, gid).size());
+        params += sub->module_state_size(l, gid);
       }
     }
-    params += static_cast<std::int64_t>(sub->shared_state().size());
+    params += sub->shared_state_size();
     const double flops = static_cast<double>(sub->forward_flops(2)) * 3 * 16;
     const double train_ms =
         (flops / profile.flops_per_sec + CostModel::dispatch_overhead_s(profile, true)) *

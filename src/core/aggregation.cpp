@@ -282,14 +282,16 @@ UpdateVerdict validate_update(ModularModel& cloud, const EdgeUpdate& up,
         return UpdateVerdict::kStateSizeMismatch;
       }
       const auto& state = up.module_states[l][j];
-      if (state.size() != cloud.module_state(l, gid).size()) {
+      if (static_cast<std::int64_t>(state.size()) !=
+          cloud.module_state_size(l, gid)) {
         return UpdateVerdict::kStateSizeMismatch;
       }
       if (!all_finite(state)) return UpdateVerdict::kNonFinite;
       if (!rms_within(state, norm_bound_rms)) return UpdateVerdict::kNormBound;
     }
   }
-  if (up.shared_state.size() != cloud.shared_state().size()) {
+  if (static_cast<std::int64_t>(up.shared_state.size()) !=
+      cloud.shared_state_size()) {
     return UpdateVerdict::kStateSizeMismatch;
   }
   if (!all_finite(up.shared_state)) return UpdateVerdict::kNonFinite;

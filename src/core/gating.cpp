@@ -2,12 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace nebula {
+
+namespace {
+
+/// One thread's gate memo entry: a table and the exact bytes it was
+/// computed from (DESIGN.md §12).
+struct GateMemo {
+  std::int64_t rows = 0, embed_dim = 0;
+  std::vector<std::int64_t> widths;
+  float explore_eps = 0.0f;
+  std::string kernel;
+  std::vector<float> input, params;
+  std::shared_ptr<const std::vector<Tensor>> probs;
+};
+
+thread_local GateMemo t_gate_memo;
+
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+}  // namespace
 
 ModuleSelector::ModuleSelector(std::int64_t input_dim, std::int64_t embed_dim,
                                std::vector<std::int64_t> layer_widths,
@@ -135,14 +159,72 @@ std::int64_t ModuleSelector::state_size() {
   return n;
 }
 
+std::shared_ptr<const std::vector<Tensor>> ModuleSelector::gate_table(
+    const Tensor& x_flat) {
+  NEBULA_CHECK_MSG(x_flat.rank() == 2 && x_flat.dim(1) == input_dim_,
+                   "selector expects flattened input (B, " << input_dim_
+                                                           << ")");
+  GateMemo& memo = t_gate_memo;
+  const std::vector<Param*> ps = params();
+  const std::size_t n_in = static_cast<std::size_t>(x_flat.numel());
+  bool hit = memo.probs != nullptr && memo.rows == x_flat.dim(0) &&
+             memo.embed_dim == embed_dim_ && memo.widths == layer_widths_ &&
+             memo.explore_eps == explore_eps_ &&
+             memo.kernel == gemm_kernel_name() &&
+             memo.input.size() == n_in &&
+             same_bytes(memo.input.data(), x_flat.data(), n_in);
+  std::size_t off = 0;
+  for (std::size_t i = 0; hit && i < ps.size(); ++i) {
+    const std::vector<float>& v = ps[i]->value.storage();
+    hit = off + v.size() <= memo.params.size() &&
+          same_bytes(memo.params.data() + off, v.data(), v.size());
+    off += v.size();
+  }
+  if (hit && off == memo.params.size()) return memo.probs;
+
+  // Emptied first, so a throwing forward leaves no table behind a key it
+  // was not computed from.
+  memo.probs.reset();
+  auto probs = std::make_shared<const std::vector<Tensor>>(
+      forward(x_flat, /*train=*/false).probs);
+  memo.rows = x_flat.dim(0);
+  memo.embed_dim = embed_dim_;
+  memo.widths = layer_widths_;
+  memo.explore_eps = explore_eps_;
+  memo.kernel = gemm_kernel_name();
+  memo.input.assign(x_flat.data(), x_flat.data() + n_in);
+  memo.params.clear();
+  for (Param* p : ps) {
+    const std::vector<float>& v = p->value.storage();
+    memo.params.insert(memo.params.end(), v.begin(), v.end());
+  }
+  memo.probs = probs;
+  return probs;
+}
+
+bool ModuleSelector::gemm_paths_match(std::int64_t rows_a,
+                                      std::int64_t rows_b) const {
+  auto same = [&](std::int64_t n, std::int64_t k) {
+    return gemm_runs_naive(rows_a, n, k) == gemm_runs_naive(rows_b, n, k);
+  };
+  // forward()'s products: the two embedding Linears, then one per head.
+  if (!same(embed_dim_, input_dim_) || !same(embed_dim_, embed_dim_)) {
+    return false;
+  }
+  for (std::int64_t w : layer_widths_) {
+    if (!same(w, embed_dim_)) return false;
+  }
+  return true;
+}
+
 std::vector<std::vector<double>> ModuleSelector::importance(
     const Tensor& x_flat) {
-  GateResult gates = forward(x_flat, /*train=*/false);
+  const std::shared_ptr<const std::vector<Tensor>> table = gate_table(x_flat);
   std::vector<std::vector<double>> imp(heads_.size());
   const std::int64_t b = x_flat.dim(0);
   NEBULA_CHECK(b > 0);
   for (std::size_t l = 0; l < heads_.size(); ++l) {
-    const Tensor& p = gates.probs[l];
+    const Tensor& p = (*table)[l];
     const std::int64_t n = p.dim(1);
     imp[l].assign(static_cast<std::size_t>(n), 0.0);
     for (std::int64_t r = 0; r < b; ++r) {

@@ -67,8 +67,23 @@ class ModuleSelector {
 
   /// Mean per-module gate probability over a set of samples — the paper's
   /// module importance score Importance(w_i | D_k). Returns one vector per
-  /// layer. Runs in eval mode, does not disturb training caches.
+  /// layer: the column means of gate_table(x_flat). Runs in eval mode, does
+  /// not disturb training caches.
   std::vector<std::vector<double>> importance(const Tensor& x_flat);
+
+  /// Gate memo: the eval-mode `probs` of every row of `x_flat` (B, D),
+  /// bit-identical to forward(x_flat, false).probs. Each thread keeps one
+  /// entry. It is returned only when the input bytes, this selector's
+  /// architecture and parameter bytes, and the active GEMM kernel are
+  /// exactly those it was computed from (memcmp); otherwise the table is
+  /// recomputed and replaces the entry. For frozen, eval-mode callers
+  /// (DESIGN.md §12).
+  std::shared_ptr<const std::vector<Tensor>> gate_table(const Tensor& x_flat);
+
+  /// True when a forward over `rows_a` rows and one over `rows_b` rows send
+  /// every selector GEMM down the same path (gemm_runs_naive), so a row's
+  /// gates carry the same bits in both.
+  bool gemm_paths_match(std::int64_t rows_a, std::int64_t rows_b) const;
 
  private:
   std::int64_t input_dim_, embed_dim_;

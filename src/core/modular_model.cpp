@@ -159,6 +159,14 @@ std::vector<float> ModularModel::shared_state() {
   return out;
 }
 
+std::int64_t ModularModel::shared_state_size() {
+  std::int64_t n = stem_ ? state_size(*stem_) : 0;
+  for (auto& b : bridges_) {
+    if (b) n += state_size(*b);
+  }
+  return n + state_size(*head_);
+}
+
 void ModularModel::set_shared_state(const std::vector<float>& state) {
   std::size_t off = 0;
   auto load_layer = [&](Layer& layer) {
@@ -197,6 +205,11 @@ bool ModularModel::has_module(std::size_t l, std::int64_t global_id) const {
 std::vector<float> ModularModel::module_state(std::size_t l,
                                               std::int64_t global_id) {
   return get_state(layers_.at(l)->module(local_index(l, global_id)));
+}
+
+std::int64_t ModularModel::module_state_size(std::size_t l,
+                                            std::int64_t global_id) {
+  return state_size(layers_.at(l)->module(local_index(l, global_id)));
 }
 
 void ModularModel::set_module_state(std::size_t l, std::int64_t global_id,

@@ -92,8 +92,13 @@ class ModularModel {
   std::vector<float> shared_state();
   void set_shared_state(const std::vector<float>& state);
 
+  /// Floats in shared_state(), without building it.
+  std::int64_t shared_state_size();
+
   /// State of module (layer l, global id) — must exist in this model.
   std::vector<float> module_state(std::size_t l, std::int64_t global_id);
+  /// Floats in module_state(l, global_id), without building it.
+  std::int64_t module_state_size(std::size_t l, std::int64_t global_id);
   void set_module_state(std::size_t l, std::int64_t global_id,
                         const std::vector<float>& state);
   bool has_module(std::size_t l, std::int64_t global_id) const;

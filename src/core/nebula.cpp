@@ -165,10 +165,7 @@ std::optional<AbilityResult> NebulaSystem::offline(const SyntheticData& proxy) {
 
 std::vector<std::vector<double>> NebulaSystem::device_importance(
     std::int64_t k) {
-  const Dataset& local = pop_.local_data(k);
-  Tensor x({local.size(), local.feature_dim()},
-           local.features.storage());
-  return selector_->importance(x);
+  return selector_->importance(pop_.local_data(k).features);
 }
 
 double NebulaSystem::budget_fraction_for(std::int64_t k) const {
@@ -194,11 +191,10 @@ std::int64_t NebulaSystem::download_bytes(const SubmodelSpec& spec,
   std::int64_t floats = 0;
   for (std::size_t l = 0; l < spec.modules.size(); ++l) {
     for (std::int64_t gid : spec.modules[l]) {
-      floats += static_cast<std::int64_t>(
-          cloud_->module_state(l, gid).size());
+      floats += cloud_->module_state_size(l, gid);
     }
   }
-  floats += static_cast<std::int64_t>(cloud_->shared_state().size());
+  floats += cloud_->shared_state_size();
   if (!selector_cached_.at(static_cast<std::size_t>(device))) {
     floats += selector_->state_size();
   }
@@ -761,13 +757,13 @@ void NebulaSystem::load_cloud(const std::string& path) {
   // Reject wrong-sized checkpoints (truncated files, trailing data, state
   // from a different architecture) before mutating anything, so a failed
   // load never leaves the cloud model half-restored.
-  std::size_t expected = cloud_->shared_state().size() +
-                         static_cast<std::size_t>(selector_->state_size());
+  std::int64_t floats = cloud_->shared_state_size() + selector_->state_size();
   for (std::size_t l = 0; l < cloud_->num_module_layers(); ++l) {
     for (std::int64_t gid = 0; gid < cloud_->full_widths()[l]; ++gid) {
-      expected += cloud_->module_state(l, gid).size();
+      floats += cloud_->module_state_size(l, gid);
     }
   }
+  const std::size_t expected = static_cast<std::size_t>(floats);
   NEBULA_CHECK_MSG(blob.size() == expected,
                    "checkpoint " << path << " holds " << blob.size()
                                  << " floats, expected " << expected);
@@ -780,11 +776,13 @@ void NebulaSystem::load_cloud(const std::string& path) {
     off += n;
     return part;
   };
-  cloud_->set_shared_state(take(cloud_->shared_state().size()));
+  cloud_->set_shared_state(
+      take(static_cast<std::size_t>(cloud_->shared_state_size())));
   for (std::size_t l = 0; l < cloud_->num_module_layers(); ++l) {
     for (std::int64_t gid = 0; gid < cloud_->full_widths()[l]; ++gid) {
-      const std::size_t n = cloud_->module_state(l, gid).size();
-      cloud_->set_module_state(l, gid, take(n));
+      cloud_->set_module_state(
+          l, gid,
+          take(static_cast<std::size_t>(cloud_->module_state_size(l, gid))));
     }
   }
   selector_->set_state(take(static_cast<std::size_t>(selector_->state_size())));

@@ -1,5 +1,8 @@
 #include "core/train.h"
 
+#include <algorithm>
+#include <memory>
+
 #include "tensor/ops.h"
 
 namespace nebula {
@@ -12,6 +15,24 @@ Tensor flat_view(const Tensor& batch) {
   const std::int64_t b = batch.dim(0);
   flat.reshape({b, batch.numel() / b});
   return flat;
+}
+
+/// The rows `batch_idx` of each layer's gate table, as a batch's probs.
+std::vector<Tensor> gather_gate_rows(
+    const std::vector<Tensor>& table,
+    const std::vector<std::size_t>& batch_idx) {
+  std::vector<Tensor> out;
+  out.reserve(table.size());
+  for (const Tensor& t : table) {
+    const std::int64_t n = t.dim(1);
+    Tensor rows({static_cast<std::int64_t>(batch_idx.size()), n});
+    for (std::size_t r = 0; r < batch_idx.size(); ++r) {
+      const float* src = t.data() + static_cast<std::int64_t>(batch_idx[r]) * n;
+      std::copy(src, src + n, rows.data() + static_cast<std::int64_t>(r) * n);
+    }
+    out.push_back(std::move(rows));
+  }
+  return out;
 }
 
 /// Builds per-layer KL target rows for the samples of one batch.
@@ -64,6 +85,20 @@ TrainStats train_modular(ModularModel& model, ModuleSelector& selector,
 
   std::vector<std::int64_t> widths(model.full_widths());
 
+  // A frozen selector's gates of a row do not depend on the rest of its
+  // batch, so batches read them from the gate memo of the whole set — all
+  // but those whose selector GEMMs would take another naive-or-blocked path
+  // than the whole-set forward, which round differently (DESIGN.md §12).
+  // A short last batch can match only if a full one does.
+  const std::int64_t n = data.size();
+  auto from_table = [&](std::int64_t rows) {
+    return !cfg.train_selector && selector.gemm_paths_match(rows, n);
+  };
+  std::shared_ptr<const std::vector<Tensor>> table;
+  if (from_table(std::min(cfg.batch_size, n))) {
+    table = selector.gate_table(data.features);
+  }
+
   TrainStats stats;
   for (std::int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     BatchSampler sampler(data.size(), cfg.batch_size, rng);
@@ -72,7 +107,12 @@ TrainStats train_modular(ModularModel& model, ModuleSelector& selector,
       const auto labels = data.batch_labels(batch);
       Tensor x_flat = flat_view(x);
 
-      GateResult gates = selector.forward(x_flat, cfg.train_selector);
+      GateResult gates;
+      if (table && from_table(static_cast<std::int64_t>(batch.size()))) {
+        gates.probs = gather_gate_rows(*table, batch);
+      } else {
+        gates = selector.forward(x_flat, cfg.train_selector);
+      }
       RoutingOpts opts;
       opts.top_k = cfg.top_k;
       opts.noise_std = cfg.train_selector ? cfg.noise_std : 0.0f;

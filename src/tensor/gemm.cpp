@@ -641,6 +641,10 @@ bool gemm_force_kernel(const char* name) {
   return false;
 }
 
+bool gemm_runs_naive(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return m * n * k <= kNaiveFlopThreshold;
+}
+
 void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           float* c, std::int64_t ldc, bool accumulate) {
@@ -655,7 +659,7 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
   static obs::Counter& m_flops = obs::counter("gemm.flops");
   m_calls.add(1);
   m_flops.add(2 * m * n * k);
-  if (m * n * k <= kNaiveFlopThreshold) {
+  if (gemm_runs_naive(m, n, k)) {
     static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
     m_naive.add(1);
     gemm_naive(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
@@ -686,7 +690,7 @@ void gemm_column_groups(Trans ta, std::int64_t m, std::int64_t n,
   m_calls.add(1);
   m_flops.add(2 * m * n * k);
   // Classified once for the whole call, as gemm_im2col does.
-  const bool naive = m * n * k <= kNaiveFlopThreshold;
+  const bool naive = gemm_runs_naive(m, n, k);
   if (naive) {
     static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
     m_naive.add(1);
@@ -731,7 +735,7 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
   // below classified on its own, a pool split could send a small chunk down
   // the naive path while a 1-worker pool runs the same images blocked, and
   // the bits would depend on the pool size.
-  const bool naive = m * n * k <= kNaiveFlopThreshold;
+  const bool naive = gemm_runs_naive(m, n, k);
   if (naive) {
     static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
     m_naive.add(1);
@@ -812,7 +816,7 @@ void gemm_batched(Trans ta, Trans tb, const GemmBatchItem* items,
     }
     ++n_live;
     flops += 2 * it.m * it.n * it.k;
-    if (it.m * it.n * it.k <= kNaiveFlopThreshold) {
+    if (gemm_runs_naive(it.m, it.n, it.k)) {
       naive_items.push_back(i);
     } else {
       blocked_items.push_back(i);

@@ -35,6 +35,13 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
           float* c, std::int64_t ldc, bool accumulate);
 
+/// True when gemm(…, m, n, k, …) runs the small-problem naive path rather
+/// than the blocked one. The two paths round differently (the blocked
+/// micro-kernels sum in KC slices, with FMA where the kernel has it), so a
+/// row of C carries the same bits in two products only when both take the
+/// same path.
+bool gemm_runs_naive(std::int64_t m, std::int64_t n, std::int64_t k);
+
 // ---- Dispatch introspection -------------------------------------------------
 
 /// Name of the micro-kernel the dispatcher selected for this process

@@ -14,7 +14,10 @@
 //  * gemm_batched vs looped gemm, bit-identical;
 //  * the sub-threshold naive path against a verbatim copy of its original
 //    branchy loops, bit-identical, through gemm, gemm_batched and
-//    gemm_column_groups.
+//    gemm_column_groups;
+//  * the selector's gate memo: frozen-selector training fed from it against
+//    a loop that runs the selector per batch, importance against a fresh
+//    forward, and every part of its key forcing a recompute — bitwise.
 //
 // CTest runs this binary twice (label `kernels`): once with runtime dispatch
 // and once under NEBULA_FORCE_PORTABLE_KERNEL=1, where the SIMD comparisons
@@ -28,8 +31,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/model_zoo.h"
+#include "core/train.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -885,6 +893,219 @@ TEST(NaiveGemm, ColumnGroupsBitIdenticalToOriginalLoops) {
         }
       }
     }
+  }
+}
+
+// -----------------------------------------------------------------------------
+
+std::int64_t selector_forwards() {
+  return obs::counter("selector.forwards").value();
+}
+
+// The two workload families' models: the HAR MLP with 32 modules per layer
+// (every selector GEMM of a 16-row batch runs blocked) and the CIFAR
+// ResNet18 with 16 (its 16x16x32 head GEMM runs naive at batch 16).
+ZooModel gate_memo_model(bool cifar) {
+  ZooOptions opts;
+  opts.init_seed = 2024;
+  if (cifar) return make_modular_resnet18({3, 8, 8}, 10, opts);
+  opts.modules_per_layer = 32;
+  return make_modular_mlp(32, 6, opts);
+}
+
+Dataset random_dataset(const std::vector<std::int64_t>& sample_shape,
+                       std::int64_t classes, std::int64_t n, Rng& rng) {
+  Dataset d;
+  d.num_classes = classes;
+  d.sample_shape = sample_shape;
+  d.features = Tensor({n, Tensor::numel_from(sample_shape)});
+  fill_random(d.features, rng);
+  for (std::int64_t i = 0; i < n; ++i) {
+    d.labels.push_back(static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(classes))));
+  }
+  return d;
+}
+
+// train_modular with a frozen selector as it ran before the gate memo: one
+// selector forward per mini-batch.
+void reference_frozen_train(ModularModel& model, ModuleSelector& selector,
+                            const Dataset& data, const TrainConfig& cfg) {
+  Rng rng(cfg.seed);
+  Rng route_rng = rng.fork();
+  std::vector<Param*> params = model.params();
+  Sgd opt(params, cfg.lr, cfg.momentum, cfg.weight_decay);
+  for (std::int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    BatchSampler sampler(data.size(), cfg.batch_size, rng);
+    for (auto batch = sampler.next(); !batch.empty(); batch = sampler.next()) {
+      Tensor x = data.batch_view(batch);
+      Tensor x_flat = x;
+      x_flat.reshape({x.dim(0), x.numel() / x.dim(0)});
+      GateResult gates = selector.forward(x_flat, /*train=*/false);
+      RoutingOpts opts;
+      opts.top_k = cfg.top_k;
+      opts.noise_std = 0.0f;
+      opts.rng = &route_rng;
+      Tensor logits = model.forward(x, gates, opts, /*train=*/true);
+      LossResult ce = softmax_cross_entropy(logits, data.batch_labels(batch));
+      model.zero_grad();
+      model.backward(ce.grad);
+      clip_grad_norm(params, cfg.grad_clip);
+      opt.step();
+    }
+  }
+}
+
+void expect_params_bitwise(const std::vector<Param*>& got,
+                           const std::vector<Param*>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->value.numel(), want[i]->value.numel());
+    expect_bits_equal(got[i]->value.data(), want[i]->value.data(),
+                      got[i]->value.numel(), what);
+  }
+}
+
+TEST(GateMemo, FrozenTrainingBitIdenticalToPerBatchSelector) {
+  for (const bool cifar : {false, true}) {
+    ZooModel zm = gate_memo_model(cifar);
+    const std::vector<std::int64_t> shape = zm.model->sample_shape();
+    const std::vector<float> selector_before = zm.selector->state();
+    TrainConfig cfg;
+    cfg.epochs = cifar ? 1 : 2;  // the ResNet is the slow one
+    cfg.batch_size = 16;
+    cfg.train_selector = false;
+    // N = 16q and 16q + r: a last batch of 1-8 rows runs the HAR selector
+    // GEMMs naive (live forward), one of 9-15 rows runs them blocked.
+    for (std::int64_t r = 0; r < 16; ++r) {
+      const std::int64_t n = 32 + r;
+      SCOPED_TRACE(testing::Message() << (cifar ? "cifar" : "har")
+                                      << " N=" << n);
+      Rng rng(static_cast<std::uint64_t>(700 + n));
+      const Dataset data = random_dataset(shape, cifar ? 10 : 6, n, rng);
+      cfg.seed = static_cast<std::uint64_t>(n);
+      auto want = zm.model->clone();
+      reference_frozen_train(*want, *zm.selector, data, cfg);
+      auto got = zm.model->clone();
+      const std::int64_t before = selector_forwards();
+      train_modular(*got, *zm.selector, data, cfg);
+      const std::int64_t live = selector_forwards() - before;
+      expect_params_bitwise(got->params(), want->params(), "trained params");
+      EXPECT_EQ(zm.selector->state(), selector_before);
+      if (cifar) {
+        EXPECT_EQ(live, cfg.epochs * ((n + 15) / 16));  // every batch live
+      } else {
+        // One whole-set forward, plus the short last batch of each epoch
+        // when it runs naive.
+        EXPECT_EQ(live, 1 + (r >= 1 && r <= 8 ? cfg.epochs : 0));
+      }
+    }
+  }
+}
+
+TEST(GateMemo, ImportanceIsMeanOfFreshForward) {
+  for (const bool cifar : {false, true}) {
+    SCOPED_TRACE(cifar ? "cifar" : "har");
+    ZooModel zm = gate_memo_model(cifar);
+    Rng rng(31);
+    Tensor x({45, zm.selector->input_dim()});
+    fill_random(x, rng);
+    const GateResult fresh = zm.selector->forward(x, /*train=*/false);
+    for (int call = 0; call < 2; ++call) {  // a miss, then a memo hit
+      const auto imp = zm.selector->importance(x);
+      ASSERT_EQ(imp.size(), fresh.probs.size());
+      for (std::size_t l = 0; l < imp.size(); ++l) {
+        const Tensor& p = fresh.probs[l];
+        const std::int64_t b = p.dim(0), n = p.dim(1);
+        std::vector<double> want(static_cast<std::size_t>(n), 0.0);
+        for (std::int64_t row = 0; row < b; ++row) {
+          for (std::int64_t i = 0; i < n; ++i) {
+            want[static_cast<std::size_t>(i)] += p.data()[row * n + i];
+          }
+        }
+        for (double& v : want) v /= static_cast<double>(b);
+        ASSERT_EQ(imp[l].size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(std::memcmp(&imp[l][i], &want[i], sizeof(double)), 0)
+              << "layer " << l << " module " << i;
+        }
+      }
+    }
+  }
+}
+
+// The memo must serve exactly forward(x, false).probs, recomputing whenever
+// any part of its key changes.
+void expect_table_is_forward(ModuleSelector& sel, const Tensor& x,
+                             const std::vector<Tensor>& table) {
+  const GateResult fresh = sel.forward(x, /*train=*/false);
+  ASSERT_EQ(table.size(), fresh.probs.size());
+  for (std::size_t l = 0; l < table.size(); ++l) {
+    ASSERT_EQ(table[l].numel(), fresh.probs[l].numel());
+    expect_bits_equal(table[l].data(), fresh.probs[l].data(),
+                      table[l].numel(), "gate table");
+  }
+}
+
+// Calls gate_table and reports whether it recomputed (one selector forward)
+// or returned the stored table (none).
+bool table_recomputed(ModuleSelector& sel, const Tensor& x,
+                      std::shared_ptr<const std::vector<Tensor>>* out) {
+  const std::int64_t before = selector_forwards();
+  *out = sel.gate_table(x);
+  return selector_forwards() - before == 1;
+}
+
+TEST(GateMemo, EveryKeyChangeRecomputes) {
+  ZooModel zm = gate_memo_model(/*cifar=*/false);
+  ModuleSelector& sel = *zm.selector;
+  Rng rng(5);
+  Tensor x({40, sel.input_dim()});
+  fill_random(x, rng);
+  std::shared_ptr<const std::vector<Tensor>> t0, t;
+  table_recomputed(sel, x, &t0);
+  expect_table_is_forward(sel, x, *t0);
+  EXPECT_FALSE(table_recomputed(sel, x, &t)) << "same key must hit";
+  EXPECT_EQ(t, t0);
+
+  {
+    SCOPED_TRACE("one input float");
+    Tensor x2 = x;
+    x2.data()[17 * x2.dim(1) + 3] += 0.5f;
+    EXPECT_TRUE(table_recomputed(sel, x2, &t));
+    expect_table_is_forward(sel, x2, *t);
+    EXPECT_TRUE(table_recomputed(sel, x, &t));  // and back
+    expect_table_is_forward(sel, x, *t);
+  }
+  {
+    SCOPED_TRACE("one parameter through params()");
+    Param* p = sel.params().back();
+    p->value.data()[0] += 0.25f;
+    EXPECT_TRUE(table_recomputed(sel, x, &t));
+    expect_table_is_forward(sel, x, *t);
+  }
+  {
+    SCOPED_TRACE("set_state");
+    std::vector<float> state = sel.state();
+    state[state.size() / 2] -= 0.125f;
+    sel.set_state(state);
+    EXPECT_TRUE(table_recomputed(sel, x, &t));
+    expect_table_is_forward(sel, x, *t);
+  }
+  {
+    SCOPED_TRACE("GEMM kernel");
+    const bool was_portable =
+        std::string(gemm_kernel_name()) == "portable-6x8";
+    {
+      ScopedKernel pin("portable-6x8");
+      ASSERT_TRUE(pin.ok());
+      // Under forced-portable dispatch the kernel, and so the key, is
+      // unchanged: the stored table is the right answer.
+      EXPECT_EQ(table_recomputed(sel, x, &t), !was_portable);
+      expect_table_is_forward(sel, x, *t);
+    }
+    EXPECT_EQ(table_recomputed(sel, x, &t), !was_portable);
+    expect_table_is_forward(sel, x, *t);
   }
 }
 

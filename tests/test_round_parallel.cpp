@@ -24,8 +24,10 @@
 #include "baselines/heterofl.h"
 #include "core/model_zoo.h"
 #include "core/nebula.h"
+#include "core/train.h"
 #include "nn/init.h"
 #include "nn/state.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "parallel/thread_pool.h"
 #include "sim/faults.h"
@@ -636,6 +638,108 @@ TEST(PoolExceptions, NestedInlineThrowPropagatesThroughOuterRegion) {
               "nested 5/2");
     expect_region_reaches_every_participant(pool);
   }
+}
+
+// -----------------------------------------------------------------------------
+
+std::int64_t selector_forwards() {
+  return obs::counter("selector.forwards").value();
+}
+
+TEST(GateMemo, ThreadsSharingOneSelectorKeepTheirOwnTables) {
+  ZooOptions opts;
+  opts.modules_per_layer = 32;
+  opts.init_seed = 515;
+  ZooModel zm = make_modular_mlp(32, 6, opts);
+  ModuleSelector& sel = *zm.selector;
+  Rng rng(77);
+  std::vector<Tensor> inputs;
+  std::vector<std::vector<Tensor>> want;
+  for (std::int64_t t = 0; t < 2; ++t) {
+    Tensor x({40 + t, sel.input_dim()});
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[static_cast<std::size_t>(i)] = rng.normal();
+    }
+    want.push_back(sel.forward(x, /*train=*/false).probs);
+    inputs.push_back(std::move(x));
+  }
+  std::vector<int> mismatches(2, 0);
+  std::atomic<std::size_t> calls{0};
+  const std::int64_t before = selector_forwards();
+  with_pool(2, [&] {
+    // Each participant of a two-thread region works on its own input, the
+    // two in lockstep: a memo shared between them would miss every step.
+    run_one_chunk_each(ThreadPool::global(), [&](std::size_t t) {
+      for (std::size_t iter = 0; iter < 20; ++iter) {
+        calls.fetch_add(1);
+        wait_for(calls, 2 * (iter + 1));
+        const auto table = sel.gate_table(inputs[t]);
+        for (std::size_t l = 0; l < table->size(); ++l) {
+          const Tensor& got = (*table)[l];
+          if (got.numel() != want[t][l].numel() ||
+              std::memcmp(got.data(), want[t][l].data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)) != 0) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  });
+  EXPECT_EQ(mismatches, std::vector<int>(2, 0));
+  // One entry per thread: each thread computes its table once, however the
+  // two interleave.
+  EXPECT_EQ(selector_forwards() - before, 2);
+}
+
+// Selector forwards `fn` runs on a fresh thread, whose gate memo is empty.
+template <typename Fn>
+std::int64_t forwards_on_fresh_thread(Fn&& fn) {
+  std::int64_t delta = 0;
+  std::thread t([&] {
+    const std::int64_t before = selector_forwards();
+    fn();
+    delta = selector_forwards() - before;
+  });
+  t.join();
+  return delta;
+}
+
+// The traced round benchmark replays a round's legs through public calls
+// and requires the replay's time to close on the round's, so the round must
+// not skip selector work that the replay cannot: one fault-free round and
+// the replay of its legs (device_importance, train_modular,
+// device_importance) run the same number of selector forwards.
+TEST(GateMemo, RoundAndPublicCallReplayRunTheSameSelectorForwards) {
+  World w;
+  ZooOptions opts;
+  opts.modules_per_layer = 32;  // batch-16 selector GEMMs run blocked
+  opts.init_seed = 909;
+  NebulaConfig cfg;
+  cfg.devices_per_round = 4;
+  cfg.pretrain.epochs = 1;
+  NebulaSystem sys(make_modular_mlp(32, 6, opts), *w.pop, w.profiles, cfg);
+  sys.offline(w.proxy);
+  RoundReport rep;
+  std::int64_t round_forwards = 0, replay_forwards = 0;
+  with_pool(kSerialWorkers, [&] {
+    round_forwards = forwards_on_fresh_thread([&] { rep = sys.round(); });
+    replay_forwards = forwards_on_fresh_thread([&] {
+      for (std::int64_t k : rep.participants) {
+        DerivationRequest req;
+        req.importance = sys.device_importance(k);
+        req.budgets =
+            sys.derivation().budget_fraction(sys.budget_fraction_for(k));
+        auto sub = sys.build_submodel(sys.derivation().derive(req).spec);
+        train_modular(*sub, sys.selector(), w.pop->local_data(k),
+                      sys.edge_config());
+        sys.device_importance(k);
+      }
+    });
+  });
+  ASSERT_EQ(rep.completed.size(), rep.participants.size());
+  EXPECT_GT(round_forwards, 0);
+  EXPECT_EQ(replay_forwards, round_forwards);
 }
 
 }  // namespace
