@@ -426,6 +426,48 @@ void BM_ModuleWiseAggregation(benchmark::State& state) {
 }
 BENCHMARK(BM_ModuleWiseAggregation);
 
+// The server step of har_robust_fleet: coordinate-wise median behind the
+// anomaly gate over 15 uploads of the HAR MLP with 32 modules (shared state
+// 1878 floats), each carrying two modules and 4 of them sign-flipped. Both
+// the gate's scores and the fold take a median per coordinate.
+void BM_RobustAggregationHar(benchmark::State& state) {
+  ZooOptions opts;
+  opts.modules_per_layer = 32;
+  auto zm = make_modular_mlp(32, 6, opts);
+  RobustAggregationConfig robust;
+  robust.kind = RobustAggregatorKind::kMedian;
+  robust.anomaly_threshold = 4.0;
+  Rng rng(23);
+  std::vector<EdgeUpdate> updates;
+  for (int u = 0; u < 15; ++u) {
+    SubmodelSpec spec;
+    spec.modules.resize(1);
+    for (auto id : rng.choose(32, 2)) {
+      spec.modules[0].push_back(static_cast<std::int64_t>(id));
+    }
+    std::sort(spec.modules[0].begin(), spec.modules[0].end());
+    auto sub = zm.model->derive_submodel(spec);
+    EdgeUpdate up = make_edge_update(
+        *sub, {std::vector<double>(32, 1.0 / 32)}, 100);
+    const float sign = u < 4 ? -1.0f : 1.0f;
+    auto perturb = [&](std::vector<float>& s) {
+      for (float& x : s) x = sign * (x + 0.01f * rng.normal());
+    };
+    perturb(up.shared_state);
+    for (auto& m : up.module_states[0]) perturb(m);
+    updates.push_back(std::move(up));
+  }
+  std::size_t rejected = 0;
+  for (auto _ : state) {
+    auto out = aggregate_module_wise_robust(
+        *zm.model, updates, AggregationWeighting::kImportance, 1.0f, robust);
+    benchmark::DoNotOptimize(out.anomaly_scores.data());
+    rejected = out.robust_rejected.size();
+  }
+  state.counters["rejected"] = static_cast<double>(rejected);
+}
+BENCHMARK(BM_RobustAggregationHar);
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN: records which micro-kernel the dispatcher picked

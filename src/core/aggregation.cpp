@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -41,17 +42,111 @@ double median_in_place(std::vector<double>& v) {
 
 namespace {
 
-/// Coordinate-wise median of equal-length states.
+/// Coordinates per sorted block: one 64-byte row of floats per carrier.
+constexpr std::size_t kLanes = 16;
+
+/// Comparator pairs (i, j), i < j, of Batcher's odd-even merge sort for `n`
+/// rows, in network order: the power-of-two network with every comparator
+/// that touches a row >= n pruned (such rows act as +Inf padding that never
+/// moves, so the pruned network still sorts).
+std::vector<std::pair<std::size_t, std::size_t>> odd_even_merge_pairs(
+    std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t p = 1; p < n; p <<= 1) {
+    for (std::size_t k = p; k >= 1; k >>= 1) {
+      for (std::size_t j = k % p; j + k < n; j += 2 * k) {
+        for (std::size_t i = 0; i < k && i + j + k < n; ++i) {
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
+            pairs.emplace_back(i + j, i + j + k);
+          }
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
+/// Compare-exchange of two block rows, lane by lane: `a` keeps the smaller
+/// value, `b` the larger. Swaps only when b < a, so values are moved, never
+/// recomputed, and equal ones stay put. Kept out of any lambda and written
+/// as selects into local rows so that GCC emits packed compares.
+inline void compare_exchange(float* __restrict a, float* __restrict b) {
+  float lo[kLanes] = {};
+  float hi[kLanes] = {};
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    const bool swap = b[t] < a[t];
+    lo[t] = swap ? b[t] : a[t];
+    hi[t] = swap ? a[t] : b[t];
+  }
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    a[t] = lo[t];
+    b[t] = hi[t];
+  }
+}
+
+/// Sorts every coordinate's values across the equal-length `states`
+/// (finite values only) and hands each sorted column to
+/// `visit(i, col)`, where col[r * kLanes] is the r-th smallest value of
+/// coordinate i. Coordinates go kLanes at a time through an n x kLanes
+/// block that one sorting network orders column by column; lanes past the
+/// end of the states hold stale values that are never visited.
+template <class Visit>
+void for_each_sorted_column(
+    const std::vector<const std::vector<float>*>& states, Visit&& visit) {
+  const std::size_t n = states.size();
+  const std::size_t width = states.front()->size();
+  const auto pairs = odd_even_merge_pairs(n);
+  std::vector<float> block(n * kLanes, 0.0f);
+  for (std::size_t i0 = 0; i0 < width; i0 += kLanes) {
+    const std::size_t w = std::min(kLanes, width - i0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const float* src = states[k]->data() + i0;
+      float* row = block.data() + k * kLanes;
+      // A fixed-size copy for full blocks stays inline (no memmove call).
+      if (w == kLanes) {
+        std::copy_n(src, kLanes, row);
+      } else {
+        std::copy_n(src, w, row);
+      }
+    }
+    for (const auto& [a, b] : pairs) {
+      compare_exchange(block.data() + a * kLanes, block.data() + b * kLanes);
+    }
+    for (std::size_t t = 0; t < w; ++t) visit(i0 + t, block.data() + t);
+  }
+}
+
+}  // namespace
+
 std::vector<double> coordinate_median(
     const std::vector<const std::vector<float>*>& states) {
-  std::vector<double> med(states.front()->size(), 0.0);
-  std::vector<double> col(states.size());
-  for (std::size_t i = 0; i < med.size(); ++i) {
-    for (std::size_t k = 0; k < states.size(); ++k) col[k] = (*states[k])[i];
-    med[i] = median_in_place(col);
-  }
+  NEBULA_CHECK(!states.empty());
+  std::vector<double> med(states.front()->size());
+  const std::size_t n = states.size();
+  const std::size_t mid = n / 2;
+  for_each_sorted_column(states, [&](std::size_t i, const float* col) {
+    double m = col[mid * kLanes];
+    if (n % 2 == 0) m = 0.5 * (m + col[(mid - 1) * kLanes]);
+    med[i] = m;
+  });
   return med;
 }
+
+std::vector<double> coordinate_trimmed_mean(
+    const std::vector<const std::vector<float>*>& states, std::size_t trim) {
+  const std::size_t n = states.size();
+  NEBULA_CHECK(2 * trim < n);
+  std::vector<double> mean(states.front()->size());
+  const double kept = static_cast<double>(n - 2 * trim);
+  for_each_sorted_column(states, [&](std::size_t i, const float* col) {
+    double sum = 0.0;
+    for (std::size_t r = trim; r < n - trim; ++r) sum += col[r * kLanes];
+    mean[i] = sum / kept;
+  });
+  return mean;
+}
+
+namespace {
 
 double rms_distance(const std::vector<float>& s,
                     const std::vector<double>& center) {
@@ -122,26 +217,19 @@ void fold_robust(std::vector<float>& merged,
     case RobustAggregatorKind::kWeightedMean:
       NEBULA_CHECK_MSG(false, "weighted mean is not a fold_robust statistic");
       return;
-    case RobustAggregatorKind::kMedian: {
-      std::vector<double> col(n);
-      for (std::size_t i = 0; i < merged.size(); ++i) {
-        for (std::size_t k = 0; k < n; ++k) col[k] = (*states[k])[i];
-        merged[i] += server_mix * static_cast<float>(median_in_place(col));
-      }
-      return;
-    }
+    case RobustAggregatorKind::kMedian:
     case RobustAggregatorKind::kTrimmedMean: {
-      std::size_t trim = static_cast<std::size_t>(
-          std::max(0.0, robust.trim_fraction) * static_cast<double>(n));
-      if (2 * trim >= n) trim = (n - 1) / 2;
-      std::vector<double> col(n);
+      std::vector<double> stat;
+      if (robust.kind == RobustAggregatorKind::kMedian) {
+        stat = coordinate_median(states);
+      } else {
+        std::size_t trim = static_cast<std::size_t>(
+            std::max(0.0, robust.trim_fraction) * static_cast<double>(n));
+        if (2 * trim >= n) trim = (n - 1) / 2;
+        stat = coordinate_trimmed_mean(states, trim);
+      }
       for (std::size_t i = 0; i < merged.size(); ++i) {
-        for (std::size_t k = 0; k < n; ++k) col[k] = (*states[k])[i];
-        std::sort(col.begin(), col.end());
-        double sum = 0.0;
-        for (std::size_t k = trim; k < n - trim; ++k) sum += col[k];
-        merged[i] += server_mix *
-                     static_cast<float>(sum / static_cast<double>(n - 2 * trim));
+        merged[i] += server_mix * static_cast<float>(stat[i]);
       }
       return;
     }

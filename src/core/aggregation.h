@@ -68,9 +68,24 @@ enum class RobustAggregatorKind {
 const char* robust_aggregator_name(RobustAggregatorKind k);
 
 /// Median of `v` (mean of the two middle values for an even size, 0 when
-/// empty). Reorders `v` instead of copying it: the coordinate-wise
-/// statistics call it once per coordinate on one reused buffer.
+/// empty). Reorders `v` instead of copying it.
 double median_in_place(std::vector<double>& v);
+
+/// Coordinate-wise median of equal-length, finite `states` (at least one),
+/// in double: the middle value, or for an even count 0.5 * (upper + lower
+/// middle value). Each coordinate's values are ordered by one sorting
+/// network (DESIGN.md §13), so the result equals an nth_element median bit
+/// for bit, except that a zero median may carry either sign when -0 and +0
+/// both sit at the median rank.
+std::vector<double> coordinate_median(
+    const std::vector<const std::vector<float>*>& states);
+
+/// Coordinate-wise mean of equal-length, finite `states` after dropping the
+/// `trim` smallest and `trim` largest values of each coordinate (2 * trim
+/// must be below the state count). The kept values are summed in ascending
+/// order in double, from +0, then divided by their count.
+std::vector<double> coordinate_trimmed_mean(
+    const std::vector<const std::vector<float>*>& states, std::size_t trim);
 
 /// Robust-aggregation policy. The default (weighted mean, no anomaly gate)
 /// reproduces the original aggregation path bit-for-bit.

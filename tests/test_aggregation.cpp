@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.h"
@@ -50,6 +53,176 @@ TEST(MedianInPlace, MatchesSortBasedMedian) {
   }
   std::vector<double> empty;
   EXPECT_EQ(median_in_place(empty), 0.0);
+}
+
+using States = std::vector<const std::vector<float>*>;
+
+States pointers_to(const std::vector<std::vector<float>>& rows) {
+  States states;
+  for (const auto& r : rows) states.push_back(&r);
+  return states;
+}
+
+// The coordinate-wise loops the sorted-block kernel replaced, kept verbatim
+// (the nth_element median with a max_element lower half for even sizes,
+// and the std::sort trimmed mean) as the reference it must match.
+double nth_element_median(std::vector<double>& v) {
+  if (v.empty()) return 0.0;
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
+                   v.end());
+  double m = v[mid];
+  if (v.size() % 2 == 0) {
+    m = 0.5 * (m + *std::max_element(
+                        v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid)));
+  }
+  return m;
+}
+
+std::vector<double> reference_median(const States& states) {
+  std::vector<double> med(states.front()->size(), 0.0);
+  std::vector<double> col(states.size());
+  for (std::size_t i = 0; i < med.size(); ++i) {
+    for (std::size_t k = 0; k < states.size(); ++k) col[k] = (*states[k])[i];
+    med[i] = nth_element_median(col);
+  }
+  return med;
+}
+
+std::vector<double> reference_trimmed_mean(const States& states,
+                                           std::size_t trim) {
+  const std::size_t n = states.size();
+  std::vector<double> mean(states.front()->size(), 0.0);
+  std::vector<double> col(n);
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    for (std::size_t k = 0; k < n; ++k) col[k] = (*states[k])[i];
+    std::sort(col.begin(), col.end());
+    double sum = 0.0;
+    for (std::size_t k = trim; k < n - trim; ++k) sum += col[k];
+    mean[i] = sum / static_cast<double>(n - 2 * trim);
+  }
+  return mean;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// 0-1 principle: coordinate c of carrier k holds bit k of c, so one call
+// over 2^n coordinates feeds the network every 0-1 input of size n. Every
+// median and trimmed mean must come out exact; by the principle the median
+// is then exact for every input of that n. The order inside a trimmed
+// window, which the sum's rounding can see, is pinned by the next test.
+TEST(CoordinateStatistics, ZeroOneInputsGiveExactStatistics) {
+  for (std::size_t n = 1; n <= 16; ++n) {
+    const std::size_t width = std::size_t{1} << n;
+    std::vector<std::vector<float>> rows(n, std::vector<float>(width));
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t c = 0; c < width; ++c) {
+        rows[k][c] = static_cast<float>((c >> k) & 1);
+      }
+    }
+    const States states = pointers_to(rows);
+    // Sorted, column c holds n - ones zeros and then `ones` ones.
+    auto sorted_at = [n](std::size_t ones, std::size_t r) {
+      return r >= n - ones ? 1.0 : 0.0;
+    };
+    const std::vector<double> med = coordinate_median(states);
+    ASSERT_EQ(med.size(), width);
+    const std::size_t mid = n / 2;
+    for (std::size_t c = 0; c < width; ++c) {
+      const std::size_t ones = static_cast<std::size_t>(std::popcount(c));
+      const double want =
+          n % 2 == 1 ? sorted_at(ones, mid)
+                     : 0.5 * (sorted_at(ones, mid) + sorted_at(ones, mid - 1));
+      ASSERT_EQ(med[c], want) << "n=" << n << " c=" << c;
+    }
+    for (std::size_t trim = 0; 2 * trim < n; ++trim) {
+      const std::vector<double> mean = coordinate_trimmed_mean(states, trim);
+      ASSERT_EQ(mean.size(), width);
+      for (std::size_t c = 0; c < width; ++c) {
+        const std::size_t ones = static_cast<std::size_t>(std::popcount(c));
+        double sum = 0.0;
+        for (std::size_t r = trim; r < n - trim; ++r) sum += sorted_at(ones, r);
+        ASSERT_EQ(mean[c], sum / static_cast<double>(n - 2 * trim))
+            << "n=" << n << " trim=" << trim << " c=" << c;
+      }
+    }
+  }
+}
+
+// Bit for bit against the replaced loops, on data with duplicates, signed
+// zeros, signed denormals, +-FLT_MAX and magnitudes wide enough that the
+// trimmed sum's rounding depends on the order of its terms. The one
+// documented exception: a zero median may differ in sign (nth_element's
+// pick among equal values is unspecified), so zero medians are compared by
+// value.
+TEST(CoordinateStatistics, BitIdenticalToNthElementAndSortLoops) {
+  const float palette[] = {0.0f,          -0.0f,         FLT_MAX,
+                           -FLT_MAX,      FLT_TRUE_MIN,  -FLT_TRUE_MIN,
+                           FLT_MIN / 4.0f, -FLT_MIN / 4.0f, 1.0f,
+                           -1.0f,         0.5f,          3.0f};
+  Rng rng(2323);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (std::size_t width : {1, 15, 16, 17, 33, 1878}) {
+      std::vector<std::vector<float>> rows(n, std::vector<float>(width));
+      for (auto& row : rows) {
+        for (float& x : row) {
+          switch (rng.uniform_int(3)) {
+            case 0: x = palette[rng.uniform_int(std::size(palette))]; break;
+            case 1: x = rng.uniform(-2.0f, 2.0f); break;
+            default:  // magnitudes 2^-40..2^40: sums round by order
+              x = std::ldexp(rng.uniform(-2.0f, 2.0f),
+                             static_cast<int>(rng.uniform_int(81)) - 40);
+          }
+        }
+      }
+      const States states = pointers_to(rows);
+      const std::vector<double> med = coordinate_median(states);
+      const std::vector<double> want_med = reference_median(states);
+      ASSERT_EQ(med.size(), width);
+      for (std::size_t i = 0; i < width; ++i) {
+        if (want_med[i] == 0.0) {
+          ASSERT_EQ(med[i], 0.0) << "n=" << n << " width=" << width;
+        } else {
+          ASSERT_TRUE(same_bits(med[i], want_med[i]))
+              << "n=" << n << " width=" << width << " i=" << i << " got "
+              << med[i] << " want " << want_med[i];
+        }
+      }
+      std::vector<std::size_t> trims = {0, n / 5, (n - 1) / 2};
+      if (n > 2) trims.push_back(1);
+      for (std::size_t trim : trims) {
+        const std::vector<double> mean = coordinate_trimmed_mean(states, trim);
+        const std::vector<double> want = reference_trimmed_mean(states, trim);
+        ASSERT_EQ(mean.size(), width);
+        ASSERT_EQ(std::memcmp(mean.data(), want.data(),
+                              width * sizeof(double)), 0)
+            << "n=" << n << " width=" << width << " trim=" << trim;
+      }
+    }
+  }
+}
+
+// The network swaps only when b < a, so a column of equal values -- here
+// zeros of both signs -- leaves in carrier order: the median is the zero
+// (or the mean of the two zeros) at the median rows.
+TEST(CoordinateStatistics, EqualValuesKeepCarrierOrder) {
+  Rng rng(77);
+  const std::size_t width = 33;
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<std::vector<float>> rows(n, std::vector<float>(width));
+    for (auto& row : rows) {
+      for (float& x : row) x = rng.uniform_int(2) == 0 ? 0.0f : -0.0f;
+    }
+    const std::vector<double> med = coordinate_median(pointers_to(rows));
+    const std::size_t mid = n / 2;
+    for (std::size_t i = 0; i < width; ++i) {
+      double want = rows[mid][i];
+      if (n % 2 == 0) want = 0.5 * (want + rows[mid - 1][i]);
+      ASSERT_TRUE(same_bits(med[i], want)) << "n=" << n << " i=" << i;
+    }
+  }
 }
 
 ZooModel make_cloud() {
