@@ -148,20 +148,22 @@ void BM_ConvTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvTrainStep);
 
-// One forward + backward of Conv2d at the ResNet18-style model's own conv
-// shapes (3x3, pad 1): the stem and stride-2 bridge see the full local batch
-// of 16, a module conv sees a routed sub-batch of 4. Arg indexes the shape.
+// One forward + backward of Conv2d at the ResNet-style models' own conv
+// shapes (3x3, pad 1): the ResNet18 stem and stride-2 bridge see the full
+// local batch of 16, a module conv sees a routed sub-batch of 4, and the
+// speech ResNet34's stem runs on 16x8 maps. Arg indexes the shape.
 // Runs on a 1-worker pool: in a round each device leg trains on one worker,
 // its conv calls running inline.
 void BM_ConvTrainStepResnet(benchmark::State& state) {
   struct Shape {
-    std::int64_t in_c, out_c, hw, stride, batch;
+    std::int64_t in_c, out_c, h, w, stride, batch;
   };
   static const Shape kShapes[] = {
-      {3, 8, 8, 1, 16},   // stem, 8x8
-      {8, 16, 4, 2, 16},  // bridge, 4x4 -> 2x2
-      {8, 4, 4, 1, 4},    // module conv at 4x4
-      {16, 16, 2, 1, 4},  // module conv at 2x2
+      {3, 8, 8, 8, 1, 16},   // stem, 8x8
+      {8, 16, 4, 4, 2, 16},  // bridge, 4x4 -> 2x2
+      {8, 4, 4, 4, 1, 4},    // module conv at 4x4
+      {16, 16, 2, 2, 1, 4},  // module conv at 2x2
+      {1, 8, 16, 8, 1, 16},  // speech stem, 16x8
   };
   const Shape& s = kShapes[state.range(0)];
   ThreadPool serial(1);
@@ -169,7 +171,7 @@ void BM_ConvTrainStepResnet(benchmark::State& state) {
   init::reseed(6);
   Conv2d conv(s.in_c, s.out_c, 3, s.stride, 1);
   Rng rng(7);
-  Tensor x({s.batch, s.in_c, s.hw, s.hw});
+  Tensor x({s.batch, s.in_c, s.h, s.w});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[static_cast<std::size_t>(i)] = rng.normal();
   }
@@ -180,12 +182,12 @@ void BM_ConvTrainStepResnet(benchmark::State& state) {
     benchmark::DoNotOptimize(dx.data());
   }
   // Three products (forward, dW, dx) of 2·out_c·rows·cols flops each.
-  const std::vector<std::int64_t> in_shape{s.batch, s.in_c, s.hw, s.hw};
+  const std::vector<std::int64_t> in_shape{s.batch, s.in_c, s.h, s.w};
   state.SetItemsProcessed(state.iterations() * 3 * s.batch *
                           conv.flops(in_shape));
   ThreadPool::set_global(prev);
 }
-BENCHMARK(BM_ConvTrainStepResnet)->DenseRange(0, 3);
+BENCHMARK(BM_ConvTrainStepResnet)->DenseRange(0, 4);
 
 void BM_ModularForward(benchmark::State& state) {
   ZooOptions opts;

@@ -150,7 +150,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     }
   }
   // dcol(rows, n·P) = Wᵀ · G, images fanned out across the pool, then
-  // scattered back image by image.
+  // scattered back by one col2im call per chunk of images, which resolves
+  // the geometry once for the whole chunk.
   ThreadPool::ScratchLease dcol(pool, kScratchConvCol,
                                 static_cast<std::size_t>(rows * cols));
   gemm_column_groups(Trans::T, rows, cols, out_c_, w_.value.data(), rows, g,
@@ -159,11 +160,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   float* dxd = dx.data();
   pool.parallel_for_chunked(
       0, static_cast<std::size_t>(n), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          const std::int64_t i = static_cast<std::int64_t>(s);
-          col2im(dc + i * pix, cols, in_c_, h, w, k_, k_, stride_, pad_,
-                 dxd + i * in_vol);
-        }
+        const std::int64_t i = static_cast<std::int64_t>(lo);
+        col2im(dc + i * pix, cols, in_c_, h, w, k_, k_, stride_, pad_,
+               dxd + i * in_vol, static_cast<std::int64_t>(hi - lo));
       },
       image_grain(rows * pix));
   // The cached input serves exactly one backward. Releasing it keeps the

@@ -204,10 +204,12 @@ void pack_a(Trans ta, const float* a, std::int64_t lda, std::int64_t i0,
 }
 
 // B-panel sources. The blocked driver is agnostic to where B elements come
-// from: a plain matrix (gemm) or the virtual im2col matrix of an image
+// from: a plain matrix (gemm) or the virtual im2col matrix of a batch
 // (gemm_im2col — the fusion that deletes the materialised col intermediate).
 // Each source packs the (kc x nc) block at (p0, j0) of op(B) into
 // NR-column zero-padded panels.
+struct TapTable;
+
 struct BSource {
   using PackFn = void (*)(const BSource& src, std::int64_t p0, std::int64_t j0,
                           std::int64_t kc, std::int64_t nc, std::int64_t nr,
@@ -217,11 +219,11 @@ struct BSource {
   const float* b = nullptr;
   std::int64_t ldb = 0;
   Trans tb = Trans::N;
-  // Im2col source. row0 is the im2col row of the first output column when
-  // a Trans::T product covers only some of them.
-  const float* img = nullptr;
-  const Im2colMap* map = nullptr;
+  // Im2col source. row0 / col0 are the im2col row / column of the product's
+  // first output column when it covers only some of them.
+  const TapTable* taps = nullptr;
   std::int64_t row0 = 0;
+  std::int64_t col0 = 0;
 };
 
 void pack_b_matrix(const BSource& src, std::int64_t p0, std::int64_t j0,
@@ -251,125 +253,102 @@ void pack_b_matrix(const BSource& src, std::int64_t p0, std::int64_t j0,
   }
 }
 
-// Decomposes im2col row index `row` into (channel plane offset within an
-// image, kernel tap offsets).
-struct KTap {
-  std::int64_t plane;
-  std::int64_t ky, kx;
+// ---- Im2col tap table -------------------------------------------------------
+//
+// The virtual column matrix of one gemm_im2col call, with its geometry
+// resolved once: element (r, c) is img[row_off[r] + col_off[c]], where img is
+// the batch copied into zero-padded planes ((height + 2·pad) x
+// (width + 2·pad), the image at offset (pad, pad) of each), or the caller's
+// images themselves when pad is 0. row_off[r] is im2col row r's channel
+// plane plus its tap (ky, kx); col_off[c] is column c's image plus the top
+// left corner of its output pixel's receptive field. Every tap of every
+// pixel lands inside its padded plane, so a padding tap reads a stored zero:
+// the packers and the naive path run no division, modulo or bounds test per
+// element, only one add of two offsets. Column offsets rise strictly with
+// the column, and by exactly 1 per column along a stride-1 output row, which
+// is how the packer spots a contiguous panel.
+struct TapTable {
+  const float* img;
+  const std::int64_t* row_off;  // map.rows() entries
+  const std::int64_t* col_off;  // map.cols() entries
 };
 
-inline KTap ktap(const Im2colMap& m, std::int64_t row) {
-  const std::int64_t khw = m.kh * m.kw;
-  const std::int64_t c = row / khw;
-  const std::int64_t rem = row % khw;
-  return {c * m.height * m.width, rem / m.kw, rem % m.kw};
-}
-
-// Position of a virtual column: output pixel (oy, ox) of image b. Columns
-// run pixel-major within an image and image-major across the batch, so a
-// walk along the columns steps ox, then oy, then b.
-struct PixelCursor {
-  std::int64_t b, oy, ox;
-
-  PixelCursor(const Im2colMap& m, std::int64_t col) {
-    const std::int64_t q = col % m.pixels();
-    b = col / m.pixels();
-    oy = q / m.out_w();
-    ox = q % m.out_w();
-  }
-  // Moves to the start of the next output row (of the next image after the
-  // last row).
-  void next_row(const Im2colMap& m) {
-    ox = 0;
-    if (++oy == m.out_h()) {
-      oy = 0;
-      ++b;
-    }
-  }
-  void next(const Im2colMap& m) {
-    if (++ox == m.out_w()) next_row(m);
-  }
-  const float* plane(const float* img, const Im2colMap& m,
-                     const KTap& t) const {
-    return img + b * m.volume() + t.plane;
-  }
+// Grow-only per-thread buffers behind the calling thread's table. A table is
+// built and read within one gemm_im2col call (its parallel regions only
+// read it), so one set per thread suffices.
+struct TapWorkspace {
+  std::vector<std::int64_t> offsets;
+  std::vector<float> padded;
 };
 
-// The ox range whose ix = ox*stride - pad + kx lands inside [0, width), so the
-// per-pixel bounds checks can be hoisted out of the packing inner loops.
-struct OxRange {
-  std::int64_t lo, hi;  // half-open [lo, hi); empty when lo >= hi
-};
-
-inline OxRange valid_ox(const Im2colMap& m, std::int64_t kx) {
-  const std::int64_t shift = m.pad - kx;  // ix = ox*stride - shift
-  const std::int64_t lo = shift <= 0 ? 0 : (shift + m.stride - 1) / m.stride;
-  const std::int64_t top = m.width - 1 + shift;
-  const std::int64_t hi = top < 0 ? 0 : top / m.stride + 1;
-  return {lo, std::min(hi, m.out_w())};
-}
-
-// Packs one (tap row, pixel segment) pair: `count` consecutive pixels starting
-// at (oy, ox), all on output row oy of the image whose channel plane is
-// `plane`, written to d[0..count) with dst stride `step`. Splits the segment
-// into zero / in-bounds / zero runs so the inner loops carry no branches;
-// in-bounds loads are contiguous when stride == 1.
-inline void pack_tap_segment(const float* plane, const KTap& t,
-                             const Im2colMap& m, std::int64_t oy,
-                             std::int64_t ox, std::int64_t count, float* d,
-                             std::int64_t step) {
-  const std::int64_t iy = oy * m.stride - m.pad + t.ky;
-  if (iy < 0 || iy >= m.height) {
-    for (std::int64_t j = 0; j < count; ++j) d[j * step] = 0.0f;
-    return;
-  }
-  const OxRange r = valid_ox(m, t.kx);
-  const std::int64_t lo = std::max(ox, r.lo);
-  const std::int64_t hi = std::min(ox + count, r.hi);
-  std::int64_t j = 0;
-  for (; j < std::min(lo - ox, count); ++j) d[j * step] = 0.0f;
-  if (lo < hi) {
-    const float* s = plane + iy * m.width + (lo * m.stride - m.pad + t.kx);
-    if (m.stride == 1) {
-      for (std::int64_t i = 0; i < hi - lo; ++i, ++j) d[j * step] = s[i];
-    } else {
-      for (std::int64_t i = 0; i < hi - lo; ++i, ++j) {
-        d[j * step] = s[i * m.stride];
+TapTable build_tap_table(const float* img, const Im2colMap& m) {
+  thread_local TapWorkspace ws;
+  const std::int64_t hp = m.height + 2 * m.pad, wp = m.width + 2 * m.pad;
+  const std::int64_t plane = hp * wp, vol = m.channels * plane;
+  const std::size_t n_off = static_cast<std::size_t>(m.rows() + m.cols());
+  if (ws.offsets.size() < n_off) ws.offsets.resize(n_off);
+  std::int64_t* row_off = ws.offsets.data();
+  std::int64_t* col_off = row_off + m.rows();
+  for (std::int64_t c = 0, r = 0; c < m.channels; ++c) {
+    for (std::int64_t ky = 0; ky < m.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < m.kw; ++kx, ++r) {
+        row_off[r] = c * plane + ky * wp + kx;
       }
     }
   }
-  for (; j < count; ++j) d[j * step] = 0.0f;
-}
-
-// Packs `count` consecutive virtual columns of tap row t starting at `at`,
-// cutting the run at every output-row (and hence image) boundary.
-inline void pack_tap_run(const float* img, const KTap& t, const Im2colMap& m,
-                         PixelCursor at, std::int64_t count, float* d,
-                         std::int64_t step) {
-  for (std::int64_t j = 0; j < count;) {
-    const std::int64_t seg = std::min(count - j, m.out_w() - at.ox);
-    pack_tap_segment(at.plane(img, m, t), t, m, at.oy, at.ox, seg,
-                     d + j * step, step);
-    j += seg;
-    at.next_row(m);
+  const std::int64_t oh = m.out_h(), ow = m.out_w();
+  for (std::int64_t b = 0, col = 0; b < m.batch; ++b) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, ++col) {
+        col_off[col] = b * vol + oy * m.stride * wp + ox * m.stride;
+      }
+    }
   }
+  if (m.pad == 0) return {img, row_off, col_off};
+  const std::size_t n_pad = static_cast<std::size_t>(m.batch * vol);
+  if (ws.padded.size() < n_pad) ws.padded.resize(n_pad);
+  float* dst = ws.padded.data();
+  std::fill(dst, dst + n_pad, 0.0f);
+  const std::int64_t planes = m.batch * m.channels;
+  for (std::int64_t q = 0; q < planes; ++q) {
+    const float* s = img + q * m.height * m.width;
+    float* d = dst + q * plane + m.pad * wp + m.pad;
+    for (std::int64_t y = 0; y < m.height; ++y) {
+      std::copy_n(s + y * m.width, m.width, d + y * wp);
+    }
+  }
+  return {dst, row_off, col_off};
 }
 
 // op(B) = col: panel rows are im2col rows (kernel taps), panel columns are
-// output pixels of the batch. Reads the images directly — exactly the
-// elements im2col would have written, in the same pack layout as
-// pack_b_matrix(Trans::N).
+// output pixels of the batch. Reads the images through the tap table —
+// exactly the elements im2col would have written, in the same pack layout as
+// pack_b_matrix(Trans::N). A panel whose columns are consecutive input
+// pixels (along a stride-1 output row) copies each row as one run.
 void pack_b_im2col_n(const BSource& src, std::int64_t p0, std::int64_t j0,
                      std::int64_t kc, std::int64_t nc, std::int64_t nr,
                      float* dst) {
-  const Im2colMap& m = *src.map;
+  const TapTable& t = *src.taps;
+  const std::int64_t* NEBULA_RESTRICT row_off = t.row_off + p0;
   for (std::int64_t jp = 0; jp < nc; jp += nr) {
     const std::int64_t cols = std::min(nr, nc - jp);
-    const PixelCursor first(m, j0 + jp);
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* d = dst + p * nr;
-      pack_tap_run(src.img, ktap(m, p0 + p), m, first, cols, d, 1);
-      for (std::int64_t j = cols; j < nr; ++j) d[j] = 0.0f;
+    const std::int64_t* NEBULA_RESTRICT col_off =
+        t.col_off + src.col0 + j0 + jp;
+    if (col_off[cols - 1] - col_off[0] == cols - 1) {
+      const float* img = t.img + col_off[0];
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const float* NEBULA_RESTRICT s = img + row_off[p];
+        float* NEBULA_RESTRICT d = dst + p * nr;
+        for (std::int64_t j = 0; j < cols; ++j) d[j] = s[j];
+        for (std::int64_t j = cols; j < nr; ++j) d[j] = 0.0f;
+      }
+    } else {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const float* NEBULA_RESTRICT s = t.img + row_off[p];
+        float* NEBULA_RESTRICT d = dst + p * nr;
+        for (std::int64_t j = 0; j < cols; ++j) d[j] = s[col_off[j]];
+        for (std::int64_t j = cols; j < nr; ++j) d[j] = 0.0f;
+      }
     }
     dst += kc * nr;
   }
@@ -380,13 +359,14 @@ void pack_b_im2col_n(const BSource& src, std::int64_t p0, std::int64_t j0,
 void pack_b_im2col_t(const BSource& src, std::int64_t p0, std::int64_t j0,
                      std::int64_t kc, std::int64_t nc, std::int64_t nr,
                      float* dst) {
-  const Im2colMap& m = *src.map;
-  const PixelCursor first(m, p0);
+  const TapTable& t = *src.taps;
+  const std::int64_t* NEBULA_RESTRICT col_off = t.col_off + p0;
   for (std::int64_t jp = 0; jp < nc; jp += nr) {
     const std::int64_t cols = std::min(nr, nc - jp);
     for (std::int64_t j = 0; j < cols; ++j) {
-      pack_tap_run(src.img, ktap(m, src.row0 + j0 + jp + j), m, first, kc,
-                   dst + j, nr);
+      const float* NEBULA_RESTRICT s =
+          t.img + t.row_off[src.row0 + j0 + jp + j];
+      for (std::int64_t p = 0; p < kc; ++p) dst[p * nr + j] = s[col_off[p]];
     }
     for (std::int64_t p = 0; p < kc && cols < nr; ++p) {
       for (std::int64_t j = cols; j < nr; ++j) dst[p * nr + j] = 0.0f;
@@ -485,63 +465,17 @@ void gemm_naive(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   }
 }
 
-// Naive paths reading B through the im2col map. Per output element the float
-// operations and their order match gemm_naive (N,N) / (N,T) exactly —
-// including the skip of A's zero entries and the += of out-of-image zeros —
-// so the fused path is bit-identical to materialising col first.
-
-// Virtual column element under tap t at the cursor's pixel.
-inline float im2col_at(const float* img, const Im2colMap& m, const KTap& t,
-                       const PixelCursor& at) {
-  const std::int64_t iy = at.oy * m.stride - m.pad + t.ky;
-  const std::int64_t ix = at.ox * m.stride - m.pad + t.kx;
-  return (iy >= 0 && iy < m.height && ix >= 0 && ix < m.width)
-             ? at.plane(img, m, t)[iy * m.width + ix]
-             : 0.0f;
-}
-
-void gemm_naive_im2col_n(std::int64_t m, std::int64_t n, std::int64_t k,
-                         const float* a, std::int64_t lda, const float* img,
-                         const Im2colMap& map, float* c, std::int64_t ldc,
-                         bool accumulate) {
-  if (!accumulate) zero_c_rows(m, n, c, ldc);
-  std::int64_t nonzero[kNaiveFlopThreshold];
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * lda;
-    std::int64_t nnz = 0;
-    for (std::int64_t p = 0; p < k; ++p) {
-      nonzero[nnz] = p;
-      nnz += ai[p] != 0.0f;
-    }
-    float* ci = c + i * ldc;
-    for (std::int64_t q = 0; q < nnz; ++q) {
-      const float av = ai[nonzero[q]];
-      const KTap t = ktap(map, nonzero[q]);
-      PixelCursor at(map, 0);
-      for (std::int64_t j = 0; j < n; ++j, at.next(map)) {
-        ci[j] += av * im2col_at(img, map, t, at);
-      }
-    }
-  }
-}
-
-void gemm_naive_im2col_t(std::int64_t m, std::int64_t n, std::int64_t k,
-                         const float* a, std::int64_t lda, const float* img,
-                         const Im2colMap& map, float* c, std::int64_t ldc,
-                         bool accumulate) {
-  if (!accumulate) zero_c_rows(m, n, c, ldc);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const KTap t = ktap(map, j);
-      float s = 0.0f;
-      PixelCursor at(map, 0);
-      for (std::int64_t p = 0; p < k; ++p, at.next(map)) {
-        s += ai[p] * im2col_at(img, map, t, at);
-      }
-      ci[j] += s;
-    }
+// Writes columns [col0, col0 + n) of the table's virtual matrix, all of its
+// rows, to col (row-major, leading dimension n). The naive paths run
+// gemm_naive on this copy, so their float operations are those of the
+// materialised lowering by construction.
+void gather_columns(const TapTable& t, std::int64_t rows, std::int64_t col0,
+                    std::int64_t n, float* NEBULA_RESTRICT col) {
+  const std::int64_t* NEBULA_RESTRICT col_off = t.col_off + col0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* NEBULA_RESTRICT s = t.img + t.row_off[r];
+    float* NEBULA_RESTRICT d = col + r * n;
+    for (std::int64_t j = 0; j < n; ++j) d[j] = s[col_off[j]];
   }
 }
 
@@ -742,9 +676,15 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
   }
   const GemmKernel& ker = active_kernel();
   ThreadPool& pool = ThreadPool::global();
+  const TapTable taps = build_tap_table(img, map);
+  // A naive product is at most kNaiveFlopThreshold multiply-adds, so the
+  // columns it reads fit a buffer of that many floats on the stack.
   if (trans_col == Trans::T) {
     if (naive) {
-      gemm_naive_im2col_t(m, n, k, a, lda, img, map, c, ldc, accumulate);
+      float col[kNaiveFlopThreshold];
+      gather_columns(taps, n, 0, k, col);
+      gemm_naive(Trans::N, Trans::T, m, n, k, a, lda, col, k, c, ldc,
+                 accumulate);
       return;
     }
     // The batch is the reduction dimension here, so the product fans out
@@ -759,8 +699,7 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
               std::min(n, static_cast<std::int64_t>(hi) * ker.nr);
           BSource src;
           src.pack = &pack_b_im2col_t;
-          src.img = img;
-          src.map = &map;
+          src.taps = &taps;
           src.row0 = j0;
           gemm_blocked(ker, Trans::N, m, j1 - j0, k, a, lda, src, c + j0, ldc,
                        accumulate);
@@ -771,21 +710,22 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
   pool.parallel_for_chunked(
       0, static_cast<std::size_t>(map.batch),
       [&](std::size_t lo, std::size_t hi) {
-        const std::int64_t b0 = static_cast<std::int64_t>(lo);
-        Im2colMap sub = map;
-        sub.batch = static_cast<std::int64_t>(hi) - b0;
-        const float* sub_img = img + b0 * map.volume();
-        float* sub_c = c + b0 * map.pixels();
+        const std::int64_t col0 = static_cast<std::int64_t>(lo) * map.pixels();
+        const std::int64_t cols =
+            static_cast<std::int64_t>(hi - lo) * map.pixels();
+        float* sub_c = c + col0;
         if (naive) {
-          gemm_naive_im2col_n(m, sub.cols(), k, a, lda, sub_img, sub, sub_c,
-                              ldc, accumulate);
+          float sub_col[kNaiveFlopThreshold];
+          gather_columns(taps, k, col0, cols, sub_col);
+          gemm_naive(Trans::N, Trans::N, m, cols, k, a, lda, sub_col, cols,
+                     sub_c, ldc, accumulate);
           return;
         }
         BSource src;
         src.pack = &pack_b_im2col_n;
-        src.img = sub_img;
-        src.map = &sub;
-        gemm_blocked(ker, Trans::N, m, sub.cols(), k, a, lda, src, sub_c, ldc,
+        src.taps = &taps;
+        src.col0 = col0;
+        gemm_blocked(ker, Trans::N, m, cols, k, a, lda, src, sub_c, ldc,
                      accumulate);
       });
 }

@@ -79,11 +79,12 @@ struct Im2colMap {
 };
 
 /// C (+)= A · op(col) where col = im2col(img, map) is never materialised:
-/// the engine's B-packing stage reads straight from the images through the
-/// index map, crossing image boundaries inside a panel. Bit-identical to
-/// materialising col (each image's im2col side by side) and calling gemm —
-/// the packed panels (and the small-problem path) are element-for-element
-/// the same.
+/// the engine's B-packing stage reads the images (with pad > 0, a
+/// zero-padded copy of them) through a tap table of offsets resolved once
+/// per call, crossing image boundaries inside a panel. Only a small-problem
+/// call gathers its at most 8192 col elements into a buffer. Bit-identical to materialising col (each image's im2col
+/// side by side) and calling gemm — the packed panels (and the small-problem
+/// path) are element-for-element the same.
 ///
 ///   trans_col == Trans::N:  C(m, cols) (+)= A(m, rows) · col      (conv fwd)
 ///   trans_col == Trans::T:  C(m, rows) (+)= A(m, cols) · col^T    (conv dW)

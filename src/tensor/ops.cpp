@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace nebula {
 
@@ -250,27 +251,122 @@ void im2col(const float* img, std::int64_t channels, std::int64_t height,
   }
 }
 
+namespace {
+
+// Output positions o in [lo, hi) whose input coordinate o·stride − pad + k
+// lies inside [0, extent); empty when lo >= hi.
+struct OutRange {
+  std::int64_t lo, hi;
+};
+
+OutRange valid_outputs(std::int64_t extent, std::int64_t out,
+                       std::int64_t stride, std::int64_t pad, std::int64_t k) {
+  const std::int64_t shift = pad - k;  // input = o·stride − shift
+  const std::int64_t lo = shift <= 0 ? 0 : (shift + stride - 1) / stride;
+  const std::int64_t top = extent - 1 + shift;
+  const std::int64_t hi = top < 0 ? 0 : top / stride + 1;
+  return {lo, std::min(hi, out)};
+}
+
+// A run of a col2im scatter: len consecutive input elements of a channel
+// plane from dst on take len consecutive output pixels of one tap from src
+// on.
+struct ScatterRun {
+  std::int64_t dst, src, len;
+};
+
+// Grow-only per-thread storage of col2im's tap table.
+struct ScatterTable {
+  std::vector<OutRange> x_ranges;   // per kx
+  std::vector<std::int64_t> begin;  // per tap, plus the end
+  std::vector<ScatterRun> runs;
+};
+
+}  // namespace
+
 void col2im(const float* col, std::int64_t ldcol, std::int64_t channels,
             std::int64_t height, std::int64_t width, std::int64_t kh,
             std::int64_t kw, std::int64_t stride, std::int64_t pad,
-            float* img) {
+            float* img, std::int64_t images) {
   const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
   const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-  NEBULA_CHECK(ldcol >= out_h * out_w);
-  std::fill(img, img + channels * height * width, 0.0f);
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    float* ic = img + c * height * width;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* crow = col + row * ldcol;
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * stride - pad + ky;
-          if (iy < 0 || iy >= height) continue;
-          float* irow = ic + iy * width;
-          for (std::int64_t ox = 0; ox < out_w; ++ox) {
-            const std::int64_t ix = ox * stride - pad + kx;
-            if (ix >= 0 && ix < width) irow[ix] += crow[oy * out_w + ox];
+  NEBULA_CHECK(out_h > 0 && out_w > 0);
+  const std::int64_t pixels = out_h * out_w;
+  NEBULA_CHECK(ldcol >= images * pixels);
+  // Tap table of the geometry, built once per call from the in-image
+  // output ranges of each tap: tap t = ky·kw + kx owns the runs
+  // [begin[t], begin[t + 1]), one per output row of in-image pixels, two
+  // merged where both sides continue each other (a stride-1 tap spanning
+  // whole rows of a map whose out_w equals its width). The scatter below
+  // therefore runs no bounds test, and each image element still takes its
+  // adds in ascending im2col row order, the first onto 0.0f, exactly as a
+  // loop testing every pixel would.
+  thread_local ScatterTable table;
+  const std::int64_t taps = kh * kw;
+  table.x_ranges.resize(static_cast<std::size_t>(kw));
+  table.begin.resize(static_cast<std::size_t>(taps + 1));
+  table.runs.resize(static_cast<std::size_t>(taps * out_h));
+  OutRange* x_ranges = table.x_ranges.data();
+  std::int64_t* begin = table.begin.data();
+  ScatterRun* runs = table.runs.data();
+  for (std::int64_t kx = 0; kx < kw; ++kx) {
+    x_ranges[kx] = valid_outputs(width, out_w, stride, pad, kx);
+  }
+  std::int64_t e = 0;
+  for (std::int64_t ky = 0, t = 0; ky < kh; ++ky) {
+    const OutRange ry = valid_outputs(height, out_h, stride, pad, ky);
+    for (std::int64_t kx = 0; kx < kw; ++kx, ++t) {
+      const OutRange rx = x_ranges[kx];
+      begin[t] = e;
+      for (std::int64_t oy = ry.lo; oy < ry.hi && rx.lo < rx.hi; ++oy) {
+        const ScatterRun run{
+            (oy * stride - pad + ky) * width + rx.lo * stride - pad + kx,
+            oy * out_w + rx.lo, rx.hi - rx.lo};
+        ScatterRun* last = e > begin[t] ? &runs[e - 1] : nullptr;
+        if (last != nullptr && stride == 1 && last->dst + last->len == run.dst &&
+            last->src + last->len == run.src) {
+          last->len += run.len;
+        } else {
+          runs[e++] = run;
+        }
+      }
+    }
+  }
+  begin[taps] = e;
+  const std::int64_t plane = height * width, volume = channels * plane;
+  const std::int64_t channel_rows = taps * ldcol;  // col offset of channel c+1
+  // Output rows of 8 or more stride-1 pixels scatter as vector adds, one
+  // tap row of one channel at a time. Shorter runs (the 4x4 and 2x2 maps of
+  // routed module convs, stride-2 maps) take the channels innermost
+  // instead, so each entry is decoded once for all channels. Either order
+  // keeps every element's adds: an element of channel c only takes adds
+  // from the tap rows of c, one per tap, in ascending tap order.
+  const bool long_runs = stride == 1 && out_w >= 8;
+  for (std::int64_t i = 0; i < images; ++i) {
+    float* image = img + i * volume;
+    std::fill(image, image + volume, 0.0f);
+    const float* cols = col + i * pixels;
+    if (long_runs) {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        for (std::int64_t t = 0; t < taps; ++t) {
+          const float* crow = cols + c * channel_rows + t * ldcol;
+          for (std::int64_t q = begin[t]; q < begin[t + 1]; ++q) {
+            float* __restrict__ d = image + c * plane + runs[q].dst;
+            const float* __restrict__ s = crow + runs[q].src;
+            for (std::int64_t j = 0; j < runs[q].len; ++j) d[j] += s[j];
+          }
+        }
+      }
+      continue;
+    }
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const float* crow = cols + t * ldcol;
+      for (std::int64_t q = begin[t]; q < begin[t + 1]; ++q) {
+        for (std::int64_t j = 0; j < runs[q].len; ++j) {
+          float* __restrict__ d = image + runs[q].dst + j * stride;
+          const float* __restrict__ s = crow + runs[q].src + j;
+          for (std::int64_t c = 0; c < channels; ++c) {
+            d[c * plane] += s[c * channel_rows];
           }
         }
       }

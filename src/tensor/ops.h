@@ -81,11 +81,15 @@ void im2col(const float* img, std::int64_t channels, std::int64_t height,
 
 /// Inverse scatter-add of im2col (for input gradients): overwrites img with
 /// the sum of every column element that im2col would have read from it.
-/// Reads rows of col at stride ldcol, like im2col writes them.
+/// Reads rows of col at stride ldcol, like im2col writes them. With
+/// images > 1 the column blocks of `images` images lie side by side
+/// (image i's pixels at columns i·out_h·out_w onward) and image i is
+/// written channels·height·width floats past the first; each is scattered
+/// exactly as by its own call.
 void col2im(const float* col, std::int64_t ldcol, std::int64_t channels,
             std::int64_t height, std::int64_t width, std::int64_t kh,
             std::int64_t kw, std::int64_t stride, std::int64_t pad,
-            float* img);
+            float* img, std::int64_t images = 1);
 
 /// Output spatial size for a conv/pool dimension.
 inline std::int64_t conv_out_size(std::int64_t in, std::int64_t k,

@@ -478,22 +478,54 @@ TEST(KernelDispatch, SimdVsPortableAcrossRemainderShapes) {
 // compared against each image's explicit im2col placed side by side along
 // the columns.
 TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
-  const ConvCase cases[] = {
-      {3, 5, 9, 9, 3, 1, 1, 1},    // small: naive path
-      {1, 4, 7, 5, 3, 2, 0, 1},    // stride 2, no pad
-      {4, 6, 17, 13, 5, 2, 2, 1},  // 5x5 taps, rectangular
-      {8, 16, 19, 19, 3, 1, 1, 1},  // blocked path (beats the flop threshold)
+  struct Case {
+    std::int64_t in_c, out_c, h, w, kh, kw, stride, pad, batch;
+  };
+  std::vector<Case> cases = {
+      {3, 5, 9, 9, 3, 3, 1, 1, 1},    // small: naive path
+      {1, 4, 7, 5, 3, 3, 2, 0, 1},    // stride 2, no pad
+      {4, 6, 17, 13, 5, 5, 2, 2, 1},  // 5x5 taps, rectangular
+      {8, 16, 19, 19, 3, 3, 1, 1, 1},  // blocked path (beats the flop threshold)
       // Multi-image maps. P (pixels per image) is no multiple of any NR, so
       // register panels straddle images.
-      {2, 3, 3, 3, 3, 2, 1, 3},    // 2x2 maps, stride 2 + pad: naive
-      {4, 6, 7, 5, 3, 2, 1, 5},    // 4x3 maps, stride 2 + pad: blocked
-      {8, 16, 9, 9, 3, 1, 1, 4},   // K = 324 for dW: a KC block straddles
-      {2, 4, 10, 10, 3, 1, 1, 7},  // N = K = 700: NC and KC blocks straddle
+      {2, 3, 3, 3, 3, 3, 2, 1, 3},    // 2x2 maps, stride 2 + pad: naive
+      {4, 6, 7, 5, 3, 3, 2, 1, 5},    // 4x3 maps, stride 2 + pad: blocked
+      {8, 16, 9, 9, 3, 3, 1, 1, 4},   // K = 324 for dW: a KC block straddles
+      {2, 4, 10, 10, 3, 3, 1, 1, 7},  // N = K = 700: NC and KC blocks straddle
+      // The traffic's shapes (3x3, pad 1). ResNet18: the stem sees the full
+      // local batch on 8x8 (P = 64, above every NR, out_w == width), the
+      // stride-2 bridge 4x4 -> 2x2.
+      {3, 8, 8, 8, 3, 3, 1, 1, 16},
+      {8, 16, 4, 4, 3, 3, 2, 1, 16},
+      // Speech/ResNet34: the stem on 16x8 and its stride-2 conv 8x4 -> 4x2.
+      {1, 8, 16, 8, 3, 3, 1, 1, 16},
+      {8, 12, 8, 4, 3, 3, 2, 1, 16},
+      // A 1x1 pad-0 map: every panel of one image is one contiguous run.
+      {6, 5, 4, 4, 1, 1, 1, 0, 3},
+      // kh != kw: out_w > width (3x1, pad 1), stride 2 with no pad (1x3),
+      // and out_w == width with out_h < height (5x3, pad 1).
+      {2, 3, 6, 7, 3, 1, 1, 1, 2},
+      {3, 4, 5, 9, 1, 3, 2, 0, 4},
+      {2, 6, 7, 6, 5, 3, 1, 1, 3},
+      // P = 9 lies between the portable NR (8) and the AVX2 NR (16).
+      {4, 6, 3, 3, 3, 3, 1, 1, 7},
+      // 2x2 taps, no pad, out_w = 9: a panel crossing one output row skips
+      // a single input column, the nearest miss of a contiguous panel.
+      {8, 8, 6, 10, 2, 2, 1, 0, 2},
   };
+  // Routed module convs at 4x4 (P = 16: at the AVX2 NR, above the portable
+  // one) and 2x2 (P = 4, below every NR), for the sub-batch sizes a round
+  // hands them; batch 1 of the narrower ones runs the naive path.
+  for (const std::int64_t b : {1, 2, 5, 16}) {
+    cases.push_back({8, 4, 4, 4, 3, 3, 1, 1, b});
+    cases.push_back({8, 8, 4, 4, 3, 3, 1, 1, b});
+    cases.push_back({16, 8, 2, 2, 3, 3, 1, 1, b});
+    cases.push_back({16, 16, 2, 2, 3, 3, 1, 1, b});
+  }
   Rng rng(4242);
   for (const auto& cc : cases) {
-    const Im2colMap map{cc.in_c, cc.h,      cc.w,   cc.k,
-                        cc.k,    cc.stride, cc.pad, cc.batch};
+    const Im2colMap map{cc.in_c, cc.h,      cc.w,   cc.kh,
+                        cc.kw,   cc.stride, cc.pad, cc.batch};
     const std::int64_t rows = map.rows(), cols = map.cols();
     const std::int64_t pix = map.pixels();
     Tensor x({cc.batch, cc.in_c, cc.h, cc.w}), wgt({cc.out_c, rows}),
@@ -508,15 +540,17 @@ TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
     }
     Tensor col({rows, cols});
     for (std::int64_t b = 0; b < cc.batch; ++b) {
-      im2col(x.data() + b * map.volume(), cc.in_c, cc.h, cc.w, cc.k, cc.k,
+      im2col(x.data() + b * map.volume(), cc.in_c, cc.h, cc.w, cc.kh, cc.kw,
              cc.stride, cc.pad, col.data() + b * pix, cols);
     }
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ScopedPool scope(threads);
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " in_c=" << cc.in_c
-                   << " k=" << cc.k << " stride=" << cc.stride
-                   << " pad=" << cc.pad << " batch=" << cc.batch);
+                   << " out_c=" << cc.out_c << " map=" << cc.h << "x" << cc.w
+                   << " k=" << cc.kh << "x" << cc.kw
+                   << " stride=" << cc.stride << " pad=" << cc.pad
+                   << " batch=" << cc.batch);
       // Forward product: C(out_c, cols) = W · col.
       Tensor want({cc.out_c, cols}), got({cc.out_c, cols});
       gemm(Trans::N, Trans::N, cc.out_c, cols, rows, wgt.data(), rows,
@@ -535,6 +569,88 @@ TEST(FusedIm2col, BitIdenticalToExplicitLowering) {
                   got_t.data(), rows, true);
       expect_bits_equal(got_t.data(), want_t.data(), got_t.numel(),
                         "fused dW");
+    }
+  }
+}
+
+// col2im as it stood before its scatter was driven by a tap table: every
+// output pixel of every tap row tests its input coordinates.
+void col2im_reference(const float* col, std::int64_t ldcol,
+                      std::int64_t channels, std::int64_t height,
+                      std::int64_t width, std::int64_t kh, std::int64_t kw,
+                      std::int64_t stride, std::int64_t pad, float* img) {
+  const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
+  const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
+  std::fill(img, img + channels * height * width, 0.0f);
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    float* ic = img + c * height * width;
+    for (std::int64_t ky = 0; ky < kh; ++ky) {
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
+        const float* crow = col + row * ldcol;
+        for (std::int64_t oy = 0; oy < out_h; ++oy) {
+          const std::int64_t iy = oy * stride - pad + ky;
+          if (iy < 0 || iy >= height) continue;
+          float* irow = ic + iy * width;
+          for (std::int64_t ox = 0; ox < out_w; ++ox) {
+            const std::int64_t ix = ox * stride - pad + kx;
+            if (ix >= 0 && ix < width) irow[ix] += crow[oy * out_w + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+// col2im must keep the reference loop's bits: every image element takes the
+// same adds in the same order, starting from 0.0f. The column values mix ±0,
+// ±denormals and repeated values, so a changed order or a first add turned
+// into a store (0.0f + -0.0f is +0) shows in the bits.
+TEST(Col2im, BitIdenticalToOriginalLoop) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,    -0.0f,   denorm, -denorm,
+                            3.0f * denorm, 1.5f, -1.5f, 1e-30f};
+  const std::int64_t maps[][2] = {{1, 1}, {2, 2}, {4, 4}, {5, 3}, {3, 7},
+                                  {8, 8}, {16, 8}, {6, 11}};
+  Rng rng(2607);
+  for (const auto& hw : maps) {
+    for (const std::int64_t k : {1, 3, 5}) {
+      for (std::int64_t stride = 1; stride <= 3; ++stride) {
+        for (std::int64_t pad = 0; pad <= 2; ++pad) {
+          const std::int64_t h = hw[0], w = hw[1], channels = 2, images = 3;
+          const std::int64_t oh = conv_out_size(h, k, stride, pad);
+          const std::int64_t ow = conv_out_size(w, k, stride, pad);
+          if (oh <= 0 || ow <= 0) continue;
+          const std::int64_t pix = oh * ow, rows = channels * k * k;
+          // The images' column blocks side by side plus 5 spare columns:
+          // ldcol is larger than one image's pixel count.
+          const std::int64_t ldcol = images * pix + 5;
+          Tensor col({rows, ldcol});
+          for (std::int64_t i = 0; i < col.numel(); ++i) {
+            const float u = rng.uniform();
+            col[static_cast<std::size_t>(i)] =
+                u < 0.6f ? specials[rng.uniform_int(8)] : rng.normal();
+          }
+          SCOPED_TRACE(testing::Message()
+                       << "map=" << h << "x" << w << " k=" << k
+                       << " stride=" << stride << " pad=" << pad);
+          const std::int64_t vol = channels * h * w;
+          Tensor want({images, channels, h, w}), one({images, channels, h, w}),
+              all({images, channels, h, w});
+          for (std::int64_t i = 0; i < images; ++i) {
+            col2im_reference(col.data() + i * pix, ldcol, channels, h, w, k, k,
+                             stride, pad, want.data() + i * vol);
+            col2im(col.data() + i * pix, ldcol, channels, h, w, k, k, stride,
+                   pad, one.data() + i * vol);
+          }
+          col2im(col.data(), ldcol, channels, h, w, k, k, stride, pad,
+                 all.data(), images);
+          expect_bits_equal(one.data(), want.data(), want.numel(),
+                            "col2im per image");
+          expect_bits_equal(all.data(), want.data(), want.numel(),
+                            "col2im batched");
+        }
+      }
     }
   }
 }
