@@ -253,40 +253,12 @@ void BM_GemmHeadSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmHeadSparse)->DenseRange(0, 2);
 
-// A module-layer-shaped batch of tiny matmuls — `count` sub-batches through
-// per-module weights — dispatched as one gemm_batched call.
-void BM_GemmBatched(benchmark::State& state) {
-  const std::int64_t count = state.range(0);
-  Rng rng(13);
-  const std::int64_t rows = 4, width = 32, hidden = 24;
-  std::vector<Tensor> as, bs, cs;
-  std::vector<GemmBatchItem> items;
-  for (std::int64_t i = 0; i < count; ++i) {
-    as.emplace_back(Tensor({rows, width}));
-    bs.emplace_back(Tensor({width, hidden}));
-    cs.emplace_back(Tensor({rows, hidden}));
-    for (std::int64_t j = 0; j < as.back().numel(); ++j) {
-      as.back()[static_cast<std::size_t>(j)] = rng.normal();
-    }
-    for (std::int64_t j = 0; j < bs.back().numel(); ++j) {
-      bs.back()[static_cast<std::size_t>(j)] = rng.normal();
-    }
-    items.push_back({rows, hidden, width, as.back().data(), width,
-                     bs.back().data(), hidden, cs.back().data(), hidden});
-  }
-  for (auto _ : state) {
-    gemm_batched(Trans::N, Trans::N, items.data(), items.size(), false);
-    benchmark::DoNotOptimize(cs.front().data());
-  }
-  state.SetItemsProcessed(state.iterations() * count * 2 * rows * hidden *
-                          width);
-}
-BENCHMARK(BM_GemmBatched)->Arg(8)->Arg(16)->Arg(32);
-
-// Inference dispatch through one ModuleLayer of residual MLP modules: the
-// batched fast path vs the generic per-module traversal.
+// Inference dispatch through one ModuleLayer of residual MLP modules (15
+// modules 32->24->32 plus an Identity, batch 16, top-2) on a pool of
+// state.range(0) workers.
 void BM_ModuleLayerDispatch(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  ThreadPool* prev = ThreadPool::set_global(&pool);
   init::reseed(14);
   const std::int64_t width = 32, batch = 16, n_modules = 16;
   std::vector<LayerPtr> mods;
@@ -303,7 +275,6 @@ void BM_ModuleLayerDispatch(benchmark::State& state) {
     ids[static_cast<std::size_t>(i)] = i;
   }
   ModuleLayer layer(std::move(mods), std::move(ids), n_modules);
-  layer.set_batched_dispatch(batched);
   Rng rng(15);
   Tensor x({batch, width});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -319,11 +290,9 @@ void BM_ModuleLayerDispatch(benchmark::State& state) {
     Tensor y = layer.forward(x, gates, ropts, false);
     benchmark::DoNotOptimize(y.data());
   }
+  ThreadPool::set_global(prev);
 }
-BENCHMARK(BM_ModuleLayerDispatch)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("batched");
+BENCHMARK(BM_ModuleLayerDispatch)->Arg(1)->Arg(4);
 
 void BM_Knapsack(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

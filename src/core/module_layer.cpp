@@ -3,45 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/layers_basic.h"
-#include "nn/sequential.h"
-#include "parallel/thread_pool.h"
-#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace nebula {
-
-namespace {
-
-// One module as seen by the batched dispatch path: an Identity passthrough
-// (lin1 == nullptr) or a Residual MLP — Residual(Sequential(Linear, ReLU,
-// Linear)) preserving the layer width, the shape every module built by
-// model_zoo's mlp_module has.
-struct MlpModule {
-  Linear* lin1 = nullptr;
-  Linear* lin2 = nullptr;
-};
-
-bool match_mlp(Layer& layer, std::int64_t width, MlpModule& out) {
-  if (dynamic_cast<Identity*>(&layer) != nullptr) return true;
-  auto* res = dynamic_cast<Residual*>(&layer);
-  if (res == nullptr) return false;
-  auto* seq = dynamic_cast<Sequential*>(&res->inner());
-  if (seq == nullptr || seq->size() != 3) return false;
-  auto* lin1 = dynamic_cast<Linear*>(&(*seq)[0]);
-  auto* relu = dynamic_cast<ReLU*>(&(*seq)[1]);
-  auto* lin2 = dynamic_cast<Linear*>(&(*seq)[2]);
-  if (lin1 == nullptr || relu == nullptr || lin2 == nullptr) return false;
-  if (lin1->in_features() != width || lin2->out_features() != width ||
-      lin1->out_features() != lin2->in_features()) {
-    return false;
-  }
-  out.lin1 = lin1;
-  out.lin2 = lin2;
-  return true;
-}
-
-}  // namespace
 
 ModuleLayer::ModuleLayer(std::vector<LayerPtr> modules,
                          std::vector<std::int64_t> global_ids,
@@ -70,14 +34,14 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
   const std::int64_t k =
       std::min<std::int64_t>(opts.top_k, static_cast<std::int64_t>(n_local));
 
-  // Gather the local gate columns and decide routes per sample.
-  routes_.assign(static_cast<std::size_t>(batch), {});
-  assigned_.assign(n_local, {});
-  raw_gates_.assign(static_cast<std::size_t>(batch) * n_local, 0.0f);
-  std::vector<float> keys(n_local);
+  // Gather the local gate columns and decide routes per sample. Each module's
+  // list is filled in ascending sample order.
+  routed_.resize(n_local);
+  for (auto& list : routed_) list.clear();
+  gate_mass_.resize(static_cast<std::size_t>(batch));
+  std::vector<float> raw(n_local), keys(n_local);
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* row = gate_probs.data() + b * full_width_;
-    float* raw = raw_gates_.data() + static_cast<std::size_t>(b) * n_local;
     for (std::size_t i = 0; i < n_local; ++i) {
       raw[i] = row[global_ids_[i]];
       keys[i] = (opts.noise_std > 0.0f)
@@ -85,15 +49,12 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
                     : raw[i];
     }
     auto top = topk_indices(keys.data(), static_cast<std::int64_t>(n_local), k);
-    SampleRoute& route = routes_[static_cast<std::size_t>(b)];
     float mass = 0.0f;
     for (auto i : top) mass += raw[i];
-    route.gate_mass = std::max(mass, 1e-9f);
+    mass = std::max(mass, 1e-9f);
+    gate_mass_[static_cast<std::size_t>(b)] = mass;
     for (auto i : top) {
-      const std::size_t li = static_cast<std::size_t>(i);
-      route.local_modules.push_back(li);
-      route.weights.push_back(raw[li] / route.gate_mass);
-      assigned_[li].push_back(static_cast<std::size_t>(b));
+      routed_[static_cast<std::size_t>(i)].push_back({b, raw[i] / mass});
     }
   }
 
@@ -108,22 +69,16 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
   const std::int64_t s_out = Tensor::numel_from(unit_out);
 
   Tensor y(out_shape_cached_);
-  if (!train && batched_dispatch_ && forward_batched(x, y, s_in, s_out)) {
-    routes_.clear();
-    assigned_.clear();
-    module_outputs_.clear();
-    return y;
-  }
   module_outputs_.assign(n_local, Tensor{});
   for (std::size_t m = 0; m < n_local; ++m) {
-    const auto& samples = assigned_[m];
+    const auto& samples = routed_[m];
     if (samples.empty()) continue;
     // Gather the sub-batch for module m.
     auto sub_shape = in_shape_;
     sub_shape[0] = static_cast<std::int64_t>(samples.size());
     Tensor sub(sub_shape);
     for (std::size_t r = 0; r < samples.size(); ++r) {
-      const float* src = x.data() + static_cast<std::int64_t>(samples[r]) * s_in;
+      const float* src = x.data() + samples[r].sample * s_in;
       std::copy(src, src + s_in,
                 sub.data() + static_cast<std::int64_t>(r) * s_in);
     }
@@ -133,17 +88,9 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
                      "module output shape inconsistent within layer");
     // Scatter weighted outputs into the combined result.
     for (std::size_t r = 0; r < samples.size(); ++r) {
-      const std::size_t b = samples[r];
-      const SampleRoute& route = routes_[b];
-      float w = 0.0f;
-      for (std::size_t j = 0; j < route.local_modules.size(); ++j) {
-        if (route.local_modules[j] == m) {
-          w = route.weights[j];
-          break;
-        }
-      }
+      const float w = samples[r].weight;
       const float* src = out.data() + static_cast<std::int64_t>(r) * s_out;
-      float* dst = y.data() + static_cast<std::int64_t>(b) * s_out;
+      float* dst = y.data() + samples[r].sample * s_out;
       for (std::int64_t i = 0; i < s_out; ++i) dst[i] += w * src[i];
     }
     if (train) module_outputs_[m] = std::move(out);
@@ -151,127 +98,14 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
   if (train) {
     combined_output_ = y;
   } else {
-    routes_.clear();
-    assigned_.clear();
+    gate_mass_.clear();
     module_outputs_.clear();
   }
   return y;
 }
 
-bool ModuleLayer::forward_batched(const Tensor& x, Tensor& y,
-                                  std::int64_t s_in, std::int64_t s_out) {
-  if (x.rank() != 2 || s_in != s_out) return false;
-  const std::size_t n_local = modules_.size();
-  std::vector<MlpModule> mlp(n_local);
-  std::vector<std::size_t> live, residual;  // live: any assigned; residual ⊆
-  for (std::size_t m = 0; m < n_local; ++m) {
-    if (assigned_[m].empty()) continue;
-    if (!match_mlp(*modules_[m], s_in, mlp[m])) return false;
-    live.push_back(m);
-    if (mlp[m].lin1 != nullptr) residual.push_back(m);
-  }
-
-  // Gather the routed sub-batch of every residual module, then run the first
-  // Linear of all of them as one gemm_batched call, the elementwise
-  // bias+ReLU per module, the second Linear as another gemm_batched call, and
-  // finally bias + residual add. Every per-item GEMM problem is exactly the
-  // gemm call Linear::forward would have made for that sub-batch, and the
-  // elementwise loops mirror Linear/ReLU/Residual, so the outputs are
-  // bit-identical to the generic per-module traversal — only the dispatch
-  // overhead (one engine entry per stage instead of one per module) and the
-  // cross-module parallelism change.
-  const float* xd = x.data();
-  std::vector<Tensor> subs(n_local), hidden(n_local), outs(n_local);
-  std::vector<GemmBatchItem> items;
-  items.reserve(residual.size());
-  for (std::size_t m : residual) {
-    const auto& samples = assigned_[m];
-    const std::int64_t rows = static_cast<std::int64_t>(samples.size());
-    const std::int64_t h = mlp[m].lin1->out_features();
-    subs[m] = Tensor({rows, s_in});
-    hidden[m] = Tensor({rows, h});
-    outs[m] = Tensor({rows, s_in});
-    float* sd = subs[m].data();
-    for (std::size_t r = 0; r < samples.size(); ++r) {
-      const float* src = xd + static_cast<std::int64_t>(samples[r]) * s_in;
-      std::copy(src, src + s_in, sd + static_cast<std::int64_t>(r) * s_in);
-    }
-    items.push_back({rows, h, s_in, subs[m].data(), s_in,
-                     mlp[m].lin1->weight().value.data(), h, hidden[m].data(),
-                     h});
-  }
-  gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-               /*accumulate=*/false);
-
-  ThreadPool::global().parallel_for(0, residual.size(), [&](std::size_t idx) {
-    const std::size_t m = residual[idx];
-    Linear* lin = mlp[m].lin1;
-    const std::int64_t rows = hidden[m].dim(0), h = hidden[m].dim(1);
-    float* hd = hidden[m].data();
-    if (lin->has_bias()) {
-      const float* bd = lin->bias().value.data();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < h; ++c) hd[r * h + c] += bd[c];
-      }
-    }
-    for (std::int64_t i = 0; i < rows * h; ++i) {
-      if (!(hd[i] > 0.0f)) hd[i] = 0.0f;
-    }
-  });
-
-  items.clear();
-  for (std::size_t m : residual) {
-    const std::int64_t rows = hidden[m].dim(0), h = hidden[m].dim(1);
-    items.push_back({rows, s_in, h, hidden[m].data(), h,
-                     mlp[m].lin2->weight().value.data(), s_in, outs[m].data(),
-                     s_in});
-  }
-  gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-               /*accumulate=*/false);
-
-  ThreadPool::global().parallel_for(0, residual.size(), [&](std::size_t idx) {
-    const std::size_t m = residual[idx];
-    Linear* lin = mlp[m].lin2;
-    const std::int64_t rows = outs[m].dim(0);
-    float* od = outs[m].data();
-    if (lin->has_bias()) {
-      const float* bd = lin->bias().value.data();
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t c = 0; c < s_in; ++c) od[r * s_in + c] += bd[c];
-      }
-    }
-    const float* sd = subs[m].data();
-    for (std::int64_t i = 0; i < rows * s_in; ++i) od[i] += sd[i];
-  });
-
-  // Weighted scatter in ascending module order — the same accumulation order
-  // into y as the generic loop. Identity modules scatter the input rows
-  // directly (the generic path's gather + passthrough yields the same bits).
-  for (std::size_t m : live) {
-    const auto& samples = assigned_[m];
-    const bool identity = mlp[m].lin1 == nullptr;
-    for (std::size_t r = 0; r < samples.size(); ++r) {
-      const std::size_t b = samples[r];
-      const SampleRoute& route = routes_[b];
-      float w = 0.0f;
-      for (std::size_t j = 0; j < route.local_modules.size(); ++j) {
-        if (route.local_modules[j] == m) {
-          w = route.weights[j];
-          break;
-        }
-      }
-      const float* src =
-          identity ? xd + static_cast<std::int64_t>(b) * s_in
-                   : outs[m].data() + static_cast<std::int64_t>(r) * s_out;
-      float* dst = y.data() + static_cast<std::int64_t>(b) * s_out;
-      for (std::int64_t i = 0; i < s_out; ++i) dst[i] += w * src[i];
-    }
-  }
-  return true;
-}
-
 Tensor ModuleLayer::backward(const Tensor& grad_out) {
-  NEBULA_CHECK_MSG(!routes_.empty(),
+  NEBULA_CHECK_MSG(!gate_mass_.empty(),
                    "ModuleLayer::backward without forward(train=true)");
   const std::int64_t batch = in_shape_[0];
   NEBULA_CHECK(grad_out.numel() == combined_output_.numel());
@@ -283,22 +117,14 @@ Tensor ModuleLayer::backward(const Tensor& grad_out) {
   gate_grad_ = Tensor({batch, full_width_});
 
   for (std::size_t m = 0; m < n_local; ++m) {
-    const auto& samples = assigned_[m];
+    const auto& samples = routed_[m];
     if (samples.empty()) continue;
     // Build the weighted gradient sub-batch for this module.
     const Tensor& mout = module_outputs_[m];
     Tensor gsub(mout.shape());
     for (std::size_t r = 0; r < samples.size(); ++r) {
-      const std::size_t b = samples[r];
-      const SampleRoute& route = routes_[b];
-      float w = 0.0f;
-      for (std::size_t j = 0; j < route.local_modules.size(); ++j) {
-        if (route.local_modules[j] == m) {
-          w = route.weights[j];
-          break;
-        }
-      }
-      const float* gy = grad_out.data() + static_cast<std::int64_t>(b) * s_out;
+      const float w = samples[r].weight;
+      const float* gy = grad_out.data() + samples[r].sample * s_out;
       float* dst = gsub.data() + static_cast<std::int64_t>(r) * s_out;
       for (std::int64_t i = 0; i < s_out; ++i) dst[i] = w * gy[i];
     }
@@ -308,29 +134,25 @@ Tensor ModuleLayer::backward(const Tensor& grad_out) {
     // Scatter-add input gradients.
     for (std::size_t r = 0; r < samples.size(); ++r) {
       const float* src = dsub.data() + static_cast<std::int64_t>(r) * s_in;
-      float* dst = dx.data() + static_cast<std::int64_t>(samples[r]) * s_in;
+      float* dst = dx.data() + samples[r].sample * s_in;
       for (std::int64_t i = 0; i < s_in; ++i) dst[i] += src[i];
     }
     // Gate gradient: dL/dg_j = <dy_b, f_j(x_b) − y_b> / mass_b.
     for (std::size_t r = 0; r < samples.size(); ++r) {
-      const std::size_t b = samples[r];
-      const SampleRoute& route = routes_[b];
-      const float* gy = grad_out.data() + static_cast<std::int64_t>(b) * s_out;
+      const std::int64_t b = samples[r].sample;
+      const float* gy = grad_out.data() + b * s_out;
       const float* fj = mout.data() + static_cast<std::int64_t>(r) * s_out;
-      const float* yb =
-          combined_output_.data() + static_cast<std::int64_t>(b) * s_out;
+      const float* yb = combined_output_.data() + b * s_out;
       double acc = 0.0;
       for (std::int64_t i = 0; i < s_out; ++i) {
         acc += static_cast<double>(gy[i]) * (fj[i] - yb[i]);
       }
-      gate_grad_.data()[static_cast<std::int64_t>(b) * full_width_ +
-                        global_ids_[m]] =
-          static_cast<float>(acc / route.gate_mass);
+      gate_grad_.data()[b * full_width_ + global_ids_[m]] = static_cast<float>(
+          acc / gate_mass_[static_cast<std::size_t>(b)]);
     }
   }
 
-  routes_.clear();
-  assigned_.clear();
+  gate_mass_.clear();
   module_outputs_.clear();
   combined_output_ = Tensor{};
   return dx;

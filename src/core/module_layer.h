@@ -8,6 +8,8 @@
 //
 // Dispatch is sub-batch based: each activated module runs only on the samples
 // routed to it, which is also how the derived edge sub-models stay cheap.
+// Training and inference share this one path, so their outputs carry the
+// same bits; inference only skips the caches that backward needs.
 //
 // A ModuleLayer may hold only a subset of the cloud's modules (an edge
 // sub-model): `global_ids` maps the local modules onto the columns of the
@@ -56,13 +58,6 @@ class ModuleLayer {
   std::size_t size() const { return modules_.size(); }
   Layer& module(std::size_t i) { return *modules_.at(i); }
 
-  /// Toggles the batched inference fast path (on by default). When every
-  /// activated module is an Identity or a Residual MLP, inference dispatch
-  /// runs each Linear stage of all modules as one `gemm_batched` call instead
-  /// of per-module layer traversals. Bit-identical to the generic path —
-  /// this switch exists so tests can compare the two.
-  void set_batched_dispatch(bool on) { batched_dispatch_ = on; }
-  bool batched_dispatch() const { return batched_dispatch_; }
   const std::vector<std::int64_t>& global_ids() const { return global_ids_; }
   std::int64_t full_width() const { return full_width_; }
 
@@ -73,31 +68,25 @@ class ModuleLayer {
   }
 
  private:
-  /// Batched inference dispatch over the routed sub-batches. Returns false
-  /// (leaving `y` untouched) when any activated module does not match the
-  /// supported shapes; the caller then takes the generic path.
-  bool forward_batched(const Tensor& x, Tensor& y, std::int64_t s_in,
-                       std::int64_t s_out);
-
   std::vector<LayerPtr> modules_;
   std::vector<std::int64_t> global_ids_;
   std::int64_t full_width_;
-  bool batched_dispatch_ = true;
 
-  // Forward caches (training mode).
-  struct SampleRoute {
-    std::vector<std::size_t> local_modules;  // activated local indices
-    std::vector<float> weights;              // renormalised gate weights
-    float gate_mass = 0.0f;                  // Σ raw gate over activated set
+  // Routing record of the last forward. A routed row is one sample sent to a
+  // module, with its renormalised gate weight.
+  struct Routed {
+    std::int64_t sample;
+    float weight;  // raw gate / gate mass
   };
-  std::vector<SampleRoute> routes_;                 // per sample
-  std::vector<std::vector<std::size_t>> assigned_;  // per module: sample ids
-  std::vector<Tensor> module_outputs_;              // per module: sub-batch out
+  std::vector<std::vector<Routed>> routed_;  // per module, samples ascending
+  std::vector<float> gate_mass_;  // per sample: Σ raw gate over activated set;
+                                  // empty unless a training forward is live
+  // Forward caches (training mode).
+  std::vector<Tensor> module_outputs_;  // per module: sub-batch out
   Tensor combined_output_;
   std::vector<std::int64_t> in_shape_;
   std::vector<std::int64_t> out_shape_cached_;
   Tensor gate_grad_;
-  std::vector<float> raw_gates_;  // (B x local) raw gathered gate values
 };
 
 }  // namespace nebula

@@ -18,20 +18,23 @@ Sgd::Sgd(std::vector<Param*> params, float lr, float momentum,
 }
 
 void Sgd::step() {
+  // Locals, not members, in the loops: a store through float* may alias a
+  // member, which would force a reload per element and keep the loops scalar.
+  const float lr = lr_, momentum = momentum_, weight_decay = weight_decay_;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     Param* p = params_[k];
     float* w = p->value.data();
     const float* g = p->grad.data();
     const std::int64_t n = p->value.numel();
-    if (momentum_ != 0.0f) {
+    if (momentum != 0.0f) {
       float* v = velocity_[k].data();
       for (std::int64_t i = 0; i < n; ++i) {
-        v[i] = momentum_ * v[i] + g[i] + weight_decay_ * w[i];
-        w[i] -= lr_ * v[i];
+        v[i] = momentum * v[i] + g[i] + weight_decay * w[i];
+        w[i] -= lr * v[i];
       }
     } else {
       for (std::int64_t i = 0; i < n; ++i) {
-        w[i] -= lr_ * (g[i] + weight_decay_ * w[i]);
+        w[i] -= lr * (g[i] + weight_decay * w[i]);
       }
     }
   }

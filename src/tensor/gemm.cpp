@@ -730,114 +730,4 @@ void gemm_im2col(Trans trans_col, std::int64_t m, const float* a,
       });
 }
 
-void gemm_batched(Trans ta, Trans tb, const GemmBatchItem* items,
-                  std::size_t count, bool accumulate) {
-  if (count == 0) return;
-  static obs::Counter& m_calls = obs::counter("gemm.calls");
-  static obs::Counter& m_flops = obs::counter("gemm.flops");
-  static obs::Counter& m_naive = obs::counter("gemm.naive_calls");
-  static obs::Counter& m_batched = obs::counter("gemm.batched_calls");
-  static obs::Counter& m_items = obs::counter("gemm.batched_items");
-  m_batched.add(1);
-  m_items.add(static_cast<std::int64_t>(count));
-
-  // Classify items exactly as standalone gemm calls would, so every item's
-  // result is bit-identical to a loop of gemm() over the batch.
-  std::int64_t flops = 0;
-  std::size_t n_live = 0;
-  std::vector<std::size_t> naive_items, blocked_items;
-  naive_items.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const GemmBatchItem& it = items[i];
-    if (it.m <= 0 || it.n <= 0) continue;
-    if (it.k <= 0) {
-      if (!accumulate) zero_c_rows(it.m, it.n, it.c, it.ldc);
-      continue;
-    }
-    ++n_live;
-    flops += 2 * it.m * it.n * it.k;
-    if (gemm_runs_naive(it.m, it.n, it.k)) {
-      naive_items.push_back(i);
-    } else {
-      blocked_items.push_back(i);
-    }
-  }
-  m_calls.add(static_cast<std::int64_t>(n_live));
-  m_flops.add(flops);
-  m_naive.add(static_cast<std::int64_t>(naive_items.size()));
-  if (n_live == 0) return;
-  NEBULA_SPAN("gemm.batched");
-
-  // Sub-threshold items: one parallel region across the whole set instead of
-  // per-item dispatch. Outputs are disjoint by contract and each item runs
-  // the identical serial naive path, so the fan-out is bit-identical.
-  if (!naive_items.empty()) {
-    ThreadPool::global().parallel_for(
-        0, naive_items.size(), [&](std::size_t idx) {
-          const GemmBatchItem& it = items[naive_items[idx]];
-          gemm_naive(ta, tb, it.m, it.n, it.k, it.a, it.lda, it.b, it.ldb,
-                     it.c, it.ldc, accumulate);
-        });
-  }
-
-  // Blocked items: consecutive runs sharing the same B operand (and shape)
-  // pack each B panel once and sweep every member's row blocks over it in a
-  // single parallel region; singletons take the normal blocked driver.
-  const GemmKernel& ker = active_kernel();
-  ThreadPool& pool = ThreadPool::global();
-  for (std::size_t g = 0; g < blocked_items.size();) {
-    const GemmBatchItem& head = items[blocked_items[g]];
-    std::size_t g_end = g + 1;
-    while (g_end < blocked_items.size()) {
-      const GemmBatchItem& it = items[blocked_items[g_end]];
-      if (it.b != head.b || it.ldb != head.ldb || it.n != head.n ||
-          it.k != head.k) {
-        break;
-      }
-      ++g_end;
-    }
-    if (g_end - g == 1) {
-      BSource src;
-      src.pack = &pack_b_matrix;
-      src.b = head.b;
-      src.ldb = head.ldb;
-      src.tb = tb;
-      gemm_blocked(ker, ta, head.m, head.n, head.k, head.a, head.lda, src,
-                   head.c, head.ldc, accumulate);
-      g = g_end;
-      continue;
-    }
-    // Shared-B group: pack once per (j0, p0) block, then fan the member
-    // sweeps out together. Each member's tile grid and K-pass order are
-    // unchanged, so results match the per-item driver bit-for-bit.
-    NEBULA_SPAN("gemm.batched_shared_b");
-    BSource src;
-    src.pack = &pack_b_matrix;
-    src.b = head.b;
-    src.ldb = head.ldb;
-    src.tb = tb;
-    const std::int64_t nr = ker.nr;
-    ThreadPool::ScratchLease bpack_lease(pool, ThreadPool::kScratchGemmB, 0);
-    for (std::int64_t j0 = 0; j0 < head.n; j0 += kNC) {
-      const std::int64_t nc = std::min(kNC, head.n - j0);
-      const std::int64_t nc_pad = ceil_div(nc, nr) * nr;
-      for (std::int64_t p0 = 0; p0 < head.k; p0 += kKC) {
-        const std::int64_t kc = std::min(kKC, head.k - p0);
-        const bool acc_pass = accumulate || p0 > 0;
-        float* bpack = bpack_lease.grow(static_cast<std::size_t>(kc * nc_pad));
-        {
-          NEBULA_SPAN("gemm.pack_b");
-          src.pack(src, p0, j0, kc, nc, nr, bpack);
-        }
-        pool.parallel_for(g, g_end, [&](std::size_t member) {
-          const GemmBatchItem& it = items[blocked_items[member]];
-          row_sweep(ker, ta, it.m, kc, nc, it.a, it.lda, p0, j0, bpack, it.c,
-                    it.ldc, acc_pass);
-        });
-      }
-    }
-    g = g_end;
-  }
-}
-
 }  // namespace nebula

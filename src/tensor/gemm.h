@@ -2,10 +2,10 @@
 // with runtime micro-kernel dispatch.
 //
 // Every matrix-shaped kernel in the library (Linear forward/backward, Conv2d
-// forward and both backward products, module-layer dispatch) routes through
-// this engine, so there is exactly one place to optimise and benchmark. The
-// Tensor-level wrappers in tensor/ops.h add shape checking; layers with raw
-// sub-batch pointers (Conv2d, ModuleLayer) call this interface directly.
+// forward and both backward products) routes through this engine, so there
+// is exactly one place to optimise and benchmark. The Tensor-level wrappers
+// in tensor/ops.h add shape checking; Conv2d, which works on raw folded-batch
+// pointers, calls this interface directly.
 //
 // Micro-kernel dispatch: the binary is compiled for the baseline ISA, but the
 // engine picks the widest micro-kernel the executing CPU supports on first
@@ -24,7 +24,6 @@
 // scheme (MC/KC/NC, MRxNR micro-tile) and where the pack buffers live.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace nebula {
@@ -110,28 +109,5 @@ void gemm_column_groups(Trans ta, std::int64_t m, std::int64_t n,
                         std::int64_t k, const float* a, std::int64_t lda,
                         const float* b, std::int64_t ldb, float* c,
                         std::int64_t ldc, bool accumulate, std::int64_t group);
-
-// ---- Batched small GEMM -----------------------------------------------------
-
-/// One problem of a batch: C_i (+)= op(A_i) · op(B_i), shapes per item.
-/// Outputs must not alias each other or any input.
-struct GemmBatchItem {
-  std::int64_t m, n, k;
-  const float* a;
-  std::int64_t lda;
-  const float* b;
-  std::int64_t ldb;
-  float* c;
-  std::int64_t ldc;
-};
-
-/// Runs a batch of (typically small) GEMMs through one dispatch: metrics and
-/// kernel selection are paid once, sub-threshold items fan out across the
-/// pool in parallel (each computed exactly as a standalone gemm call would),
-/// and consecutive blocked items sharing the same B operand pack each B panel
-/// once instead of once per item. Bit-identical to looping gemm over the
-/// items in order.
-void gemm_batched(Trans ta, Trans tb, const GemmBatchItem* items,
-                  std::size_t count, bool accumulate);
 
 }  // namespace nebula

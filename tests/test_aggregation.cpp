@@ -388,6 +388,36 @@ TEST(Aggregation, ValidateUpdateVerdicts) {
   EXPECT_EQ(validate_update(*zm.model, inf_shared),
             UpdateVerdict::kNonFinite);
 
+  // Every non-finite value is caught at the first, a middle and the last
+  // position of a module state and of the shared state; finite extremes pass.
+  const float non_finite[] = {std::nanf(""), -std::nanf(""),
+                              std::numeric_limits<float>::signaling_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  const float finite[] = {FLT_MAX, -FLT_MAX, FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                          FLT_MIN, -0.0f};
+  for (const bool shared : {false, true}) {
+    std::vector<float>& state =
+        shared ? ok.shared_state : ok.module_states[0][1];
+    ASSERT_GE(state.size(), 3u);
+    for (const std::size_t at : {std::size_t{0}, state.size() / 2,
+                                 state.size() - 1}) {
+      const float kept = state[at];
+      for (const float v : non_finite) {
+        state[at] = v;
+        EXPECT_EQ(validate_update(*zm.model, ok), UpdateVerdict::kNonFinite)
+            << "shared=" << shared << " at=" << at << " value=" << v;
+      }
+      for (const float v : finite) {
+        state[at] = v;
+        EXPECT_EQ(validate_update(*zm.model, ok), UpdateVerdict::kOk)
+            << "shared=" << shared << " at=" << at << " value=" << v;
+      }
+      state[at] = kept;
+    }
+  }
+  ASSERT_EQ(validate_update(*zm.model, ok), UpdateVerdict::kOk);
+
   auto bad_importance = ok;
   bad_importance.importance[0][0] = std::nan("");
   EXPECT_EQ(validate_update(*zm.model, bad_importance),

@@ -11,10 +11,9 @@
 //    dx, dW and db;
 //  * fused im2col vs explicit: gemm_im2col against materialise-then-gemm,
 //    bit-identical, on single- and multi-image maps;
-//  * gemm_batched vs looped gemm, bit-identical;
 //  * the sub-threshold naive path against a verbatim copy of its original
-//    branchy loops, bit-identical, through gemm, gemm_batched and
-//    gemm_column_groups;
+//    branchy loops, bit-identical, through gemm and gemm_column_groups (the
+//    latter on 1- and 4-worker pools);
 //  * the selector's gate memo: frozen-selector training fed from it against
 //    a loop that runs the selector per batch, importance against a fresh
 //    forward, and every part of its key forcing a recompute — bitwise.
@@ -41,22 +40,12 @@
 #include "parallel/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace nebula {
 namespace {
 
-// Swaps the global pool for the duration of a scope.
-class ScopedPool {
- public:
-  explicit ScopedPool(std::size_t threads) : pool_(threads) {
-    prev_ = ThreadPool::set_global(&pool_);
-  }
-  ~ScopedPool() { ThreadPool::set_global(prev_); }
-
- private:
-  ThreadPool pool_;
-  ThreadPool* prev_;
-};
+using testutil::ScopedPool;
 
 void fill_random(Tensor& t, Rng& rng) {
   for (std::int64_t i = 0; i < t.numel(); ++i) {
@@ -708,68 +697,6 @@ TEST(GemmColumnGroups, BitIdenticalToGemmAcrossPools) {
                std::runtime_error);
 }
 
-TEST(GemmBatched, BitIdenticalToLoopedGemm) {
-  // Mixed batch: sub-threshold items (naive fan-out), blocked items, and a
-  // run of blocked items sharing one B operand (the pack-once group path).
-  Rng rng(1717);
-  struct Shape {
-    std::int64_t m, n, k;
-    bool share_b;
-  };
-  const Shape shapes[] = {
-      {3, 5, 4, false},    {7, 9, 11, false},  {40, 64, 48, false},
-      {24, 64, 48, true},  {56, 64, 48, true}, {16, 64, 48, true},
-      {5, 3, 2, false},    {96, 33, 17, false},
-  };
-  const std::size_t count = sizeof(shapes) / sizeof(shapes[0]);
-  Tensor shared_b({48, 64});
-  fill_random(shared_b, rng);
-  std::vector<Tensor> as, bs, c_batch, c_loop;
-  for (const auto& s : shapes) {
-    as.emplace_back(Tensor({s.m, s.k}));
-    fill_random(as.back(), rng);
-    if (!s.share_b) {
-      bs.emplace_back(Tensor({s.k, s.n}));
-      fill_random(bs.back(), rng);
-    } else {
-      bs.emplace_back(Tensor({1}));  // placeholder, shared_b used instead
-    }
-    Tensor c0({s.m, s.n});
-    fill_random(c0, rng);  // exercised by the accumulate pass below
-    c_batch.push_back(c0);
-    c_loop.push_back(c0);
-  }
-  for (bool accumulate : {false, true}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ScopedPool scope(threads);
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " accumulate=" << accumulate);
-      std::vector<GemmBatchItem> items;
-      for (std::size_t i = 0; i < count; ++i) {
-        const float* b =
-            shapes[i].share_b ? shared_b.data() : bs[i].data();
-        items.push_back({shapes[i].m, shapes[i].n, shapes[i].k,
-                         as[i].data(), shapes[i].k, b, shapes[i].n,
-                         c_batch[i].data(), shapes[i].n});
-      }
-      gemm_batched(Trans::N, Trans::N, items.data(), items.size(),
-                   accumulate);
-      for (std::size_t i = 0; i < count; ++i) {
-        const float* b =
-            shapes[i].share_b ? shared_b.data() : bs[i].data();
-        gemm(Trans::N, Trans::N, shapes[i].m, shapes[i].n, shapes[i].k,
-             as[i].data(), shapes[i].k, b, shapes[i].n, c_loop[i].data(),
-             shapes[i].n, accumulate);
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        SCOPED_TRACE(testing::Message() << "item " << i);
-        expect_bits_equal(c_batch[i].data(), c_loop[i].data(),
-                          c_batch[i].numel(), "gemm_batched");
-      }
-    }
-  }
-}
-
 // ---- Naive path vs its original loops ---------------------------------------
 
 // gemm_naive as it was written before its loops were made branch-free, kept
@@ -918,52 +845,6 @@ TEST(NaiveGemm, BitIdenticalToOriginalLoops) {
                    nc.ldb, got.data(), nc.ldc, accumulate);
               expect_bits_equal(got.data(), want.data(),
                                 static_cast<std::int64_t>(got.size()), "gemm");
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(NaiveGemm, BatchedItemsBitIdenticalToOriginalLoops) {
-  Rng rng(778);
-  for (const Trans ta : {Trans::N, Trans::T}) {
-    for (const Trans tb : {Trans::N, Trans::T}) {
-      for (const bool special : {false, true}) {
-        std::vector<NaiveCase> cases;
-        for (const auto& s : kNaiveShapes) {
-          cases.push_back(make_naive_case(ta, tb, s.m, s.n, s.k, Zeros::kHalf,
-                                          special, rng));
-        }
-        for (const bool accumulate : {false, true}) {
-          for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            ScopedPool scope(threads);
-            SCOPED_TRACE(testing::Message()
-                         << "ta=" << (ta == Trans::T ? "T" : "N")
-                         << " tb=" << (tb == Trans::T ? "T" : "N")
-                         << " special=" << special << " accumulate="
-                         << accumulate << " threads=" << threads);
-            std::vector<std::vector<float>> got, want;
-            std::vector<GemmBatchItem> items;
-            for (NaiveCase& nc : cases) {
-              want.push_back(nc.c0);
-              reference_naive(ta, tb, nc.m, nc.n, nc.k, nc.a.data(), nc.lda,
-                              nc.b.data(), nc.ldb, want.back().data(), nc.ldc,
-                              accumulate);
-              got.push_back(nc.c0);
-            }
-            for (std::size_t i = 0; i < cases.size(); ++i) {
-              const NaiveCase& nc = cases[i];
-              items.push_back({nc.m, nc.n, nc.k, nc.a.data(), nc.lda,
-                               nc.b.data(), nc.ldb, got[i].data(), nc.ldc});
-            }
-            gemm_batched(ta, tb, items.data(), items.size(), accumulate);
-            for (std::size_t i = 0; i < cases.size(); ++i) {
-              SCOPED_TRACE(testing::Message() << "item " << i);
-              expect_bits_equal(got[i].data(), want[i].data(),
-                                static_cast<std::int64_t>(got[i].size()),
-                                "gemm_batched");
             }
           }
         }

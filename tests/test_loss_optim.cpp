@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/layers_basic.h"
 #include "nn/loss.h"
@@ -129,6 +131,78 @@ TEST(Sgd, WeightDecayShrinksWeights) {
   opt.zero_grad();
   opt.step();
   EXPECT_NEAR(lin.weight().value[0], 1.0f - 0.1f * 0.5f, 1e-6);
+}
+
+// Sgd::step as it was written before its hyper-parameters were hoisted into
+// locals, kept verbatim as the reference.
+struct ReferenceSgd {
+  std::vector<Param*> params_;
+  float lr_, momentum_, weight_decay_;
+  std::vector<Tensor> velocity_;
+
+  void step() {
+    for (std::size_t k = 0; k < params_.size(); ++k) {
+      Param* p = params_[k];
+      float* w = p->value.data();
+      const float* g = p->grad.data();
+      const std::int64_t n = p->value.numel();
+      if (momentum_ != 0.0f) {
+        float* v = velocity_[k].data();
+        for (std::int64_t i = 0; i < n; ++i) {
+          v[i] = momentum_ * v[i] + g[i] + weight_decay_ * w[i];
+          w[i] -= lr_ * v[i];
+        }
+      } else {
+        for (std::int64_t i = 0; i < n; ++i) {
+          w[i] -= lr_ * (g[i] + weight_decay_ * w[i]);
+        }
+      }
+    }
+  }
+};
+
+TEST(Sgd, StepBitIdenticalToReferenceLoop) {
+  const std::int64_t lengths[] = {1, 3, 7, 16, 33, 130, 1025};
+  for (const float momentum : {0.0f, 0.9f}) {
+    for (const float weight_decay : {0.0f, 5e-4f}) {
+      SCOPED_TRACE(testing::Message() << "momentum=" << momentum
+                                      << " weight_decay=" << weight_decay);
+      Rng rng(31);
+      std::vector<Param> got, want;
+      for (const std::int64_t n : lengths) {
+        got.emplace_back(std::vector<std::int64_t>{n});
+        fill_random(got.back().value, rng);
+        want.push_back(got.back());
+      }
+      std::vector<Param*> got_ptrs, want_ptrs;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        got_ptrs.push_back(&got[k]);
+        want_ptrs.push_back(&want[k]);
+      }
+      Sgd opt(got_ptrs, 0.03f, momentum, weight_decay);
+      ReferenceSgd ref{want_ptrs, 0.03f, momentum, weight_decay, {}};
+      if (momentum != 0.0f) {
+        for (Param* p : want_ptrs) {
+          ref.velocity_.push_back(p->value.zeros_like());
+        }
+      }
+      for (int step = 0; step < 4; ++step) {
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          fill_random(got[k].grad, rng);
+          want[k].grad = got[k].grad;
+        }
+        opt.step();
+        ref.step();
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(0, std::memcmp(got[k].value.data(), want[k].value.data(),
+                                   static_cast<std::size_t>(
+                                       got[k].value.numel()) *
+                                       sizeof(float)))
+              << "step " << step << " param " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(Adam, ConvergesOnLeastSquares) {

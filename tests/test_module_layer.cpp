@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "core/module_layer.h"
+#include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/layers_basic.h"
 #include "nn/sequential.h"
@@ -17,6 +19,7 @@ namespace nebula {
 namespace {
 
 using testutil::fill_random;
+using testutil::ScopedPool;
 
 // Builds a layer of `n` Linear(width->width) modules, no bias for easy math.
 std::vector<LayerPtr> linear_modules(std::int64_t n, std::int64_t width) {
@@ -270,53 +273,62 @@ TEST(ModuleLayer, ConstructorValidatesIds) {
   EXPECT_THROW(ModuleLayer({}, {}, 0), std::runtime_error);
 }
 
-// Residual MLP modules of varying hidden widths plus an Identity — the shape
-// the batched inference dispatch targets (model_zoo's mlp_module). The fast
-// path must be bit-identical to the generic per-module traversal.
-TEST(ModuleLayer, BatchedDispatchBitIdenticalToGenericPath) {
-  init::reseed(308);
-  const std::int64_t width = 24, batch = 9;
+// Residual modules of varying hidden widths plus an Identity, the shape
+// model_zoo builds: MLP blocks (width 24) or ResNet18's 3x3 conv blocks over
+// 8 channels at 4x4.
+ModuleLayer residual_layer(bool conv) {
   std::vector<LayerPtr> mods;
-  for (std::int64_t h : {32, 16, 48}) {
+  for (std::int64_t h : conv ? std::vector<std::int64_t>{8, 4, 6}
+                             : std::vector<std::int64_t>{32, 16, 48}) {
     auto seq = std::make_unique<Sequential>();
-    seq->emplace<Linear>(width, h);
-    seq->emplace<ReLU>();
-    seq->emplace<Linear>(h, width);
+    if (conv) {
+      seq->emplace<Conv2d>(8, h, 3, 1, 1);
+      seq->emplace<ReLU>();
+      seq->emplace<Conv2d>(h, 8, 3, 1, 1);
+    } else {
+      seq->emplace<Linear>(24, h);
+      seq->emplace<ReLU>();
+      seq->emplace<Linear>(h, 24);
+    }
     mods.push_back(std::make_unique<Residual>(std::move(seq)));
   }
   mods.push_back(std::make_unique<Identity>());
-  ModuleLayer layer(std::move(mods), iota_ids(4), 4);
+  return ModuleLayer(std::move(mods), iota_ids(4), 4);
+}
 
-  Rng rng(88);
-  Tensor x({batch, width});
-  fill_random(x, rng);
-  Tensor gates({batch, 4});
-  for (std::int64_t i = 0; i < gates.numel(); ++i) {
-    gates[static_cast<std::size_t>(i)] = 0.05f + rng.uniform();
-  }
-  RoutingOpts opts;
-  opts.top_k = 2;
-
-  ASSERT_TRUE(layer.batched_dispatch());
-  Tensor y_fast = layer.forward(x, gates, opts, /*train=*/false);
-  layer.set_batched_dispatch(false);
-  Tensor y_generic = layer.forward(x, gates, opts, /*train=*/false);
-  layer.set_batched_dispatch(true);
-
-  ASSERT_EQ(y_fast.numel(), y_generic.numel());
-  for (std::int64_t i = 0; i < y_fast.numel(); ++i) {
-    ASSERT_EQ(y_fast[static_cast<std::size_t>(i)],
-              y_generic[static_cast<std::size_t>(i)])
-        << "fast path diverged at " << i;
-  }
-
-  // Training mode must ignore the fast path (it needs per-module caches).
-  Tensor y_train = layer.forward(x, gates, opts, /*train=*/true);
-  ASSERT_EQ(y_train.numel(), y_fast.numel());
-  for (std::int64_t i = 0; i < y_fast.numel(); ++i) {
-    ASSERT_EQ(y_train[static_cast<std::size_t>(i)],
-              y_fast[static_cast<std::size_t>(i)])
-        << "train/eval divergence at " << i;
+// Inference and training run one dispatch path: eval forward equals train
+// forward bitwise, and neither depends on the pool size.
+TEST(ModuleLayer, EvalForwardBitIdenticalAcrossModesAndPools) {
+  init::reseed(311);
+  for (const bool conv : {false, true}) {
+    ModuleLayer layer = residual_layer(conv);
+    for (const std::int64_t batch : {1, 9, 64}) {
+      Rng rng(88 + static_cast<std::uint64_t>(batch));
+      Tensor x(conv ? std::vector<std::int64_t>{batch, 8, 4, 4}
+                    : std::vector<std::int64_t>{batch, 24});
+      fill_random(x, rng);
+      Tensor gates({batch, 4});
+      for (std::int64_t i = 0; i < gates.numel(); ++i) {
+        gates[static_cast<std::size_t>(i)] = 0.05f + rng.uniform();
+      }
+      RoutingOpts opts;
+      opts.top_k = 2;
+      Tensor want;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        ScopedPool scope(threads);
+        for (const bool train : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << (conv ? "conv" : "mlp") << " batch=" << batch
+                       << " threads=" << threads << " train=" << train);
+          Tensor y = layer.forward(x, gates, opts, train);
+          if (want.empty()) want = y;
+          ASSERT_EQ(y.shape(), want.shape());
+          EXPECT_EQ(0, std::memcmp(y.data(), want.data(),
+                                   static_cast<std::size_t>(y.numel()) *
+                                       sizeof(float)));
+        }
+      }
+    }
   }
 }
 

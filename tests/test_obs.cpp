@@ -19,23 +19,12 @@
 #include "obs/routing.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "test_util.h"
 
 namespace nebula {
 namespace {
 
-// Swaps the global pool for the duration of a scope.
-class ScopedPool {
- public:
-  explicit ScopedPool(std::size_t threads) : pool_(threads) {
-    prev_ = ThreadPool::set_global(&pool_);
-  }
-  ~ScopedPool() { ThreadPool::set_global(prev_); }
-  ThreadPool& pool() { return pool_; }
-
- private:
-  ThreadPool pool_;
-  ThreadPool* prev_;
-};
+using testutil::ScopedPool;
 
 // Minimal recursive-descent JSON parser — only validates, never builds a
 // tree. Strict enough to catch comma/quote/brace bugs in the writers.

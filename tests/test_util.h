@@ -8,9 +8,24 @@
 
 #include "common/rng.h"
 #include "nn/layer.h"
+#include "parallel/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace nebula::testutil {
+
+// Swaps the global pool for the duration of a scope.
+class ScopedPool {
+ public:
+  explicit ScopedPool(std::size_t threads) : pool_(threads) {
+    prev_ = ThreadPool::set_global(&pool_);
+  }
+  ~ScopedPool() { ThreadPool::set_global(prev_); }
+  ThreadPool& pool() { return pool_; }
+
+ private:
+  ThreadPool pool_;
+  ThreadPool* prev_;
+};
 
 inline void fill_random(Tensor& t, Rng& rng, float scale = 1.0f) {
   for (std::int64_t i = 0; i < t.numel(); ++i) {
