@@ -41,7 +41,7 @@ int main() {
   std::printf("\nFigure 2(b): MobileNetV3-like inference latency percentiles "
               "(ms per batch of 32)\n");
   init::reseed(31);
-  auto probe_model = make_plain_resnet18({3, 8, 8}, 10, 0.75);
+  auto probe_model = make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 0.75);
   std::vector<double> mobile_lat, iot_lat;
   RuntimeMonitor idle(0);
   for (const auto& p : fleet) {
@@ -72,12 +72,14 @@ int main() {
   };
   init::reseed(32);
   std::vector<NamedModel> models;
-  models.push_back({"VGG16-like", make_plain_vgg16({3, 8, 8}, 100, 1.0),
+  models.push_back({"VGG16-like",
+                    make_plain(TaskModel::kVgg16, {3, 8, 8}, 100, 1.0),
                     {3, 8, 8}});
-  models.push_back({"ResNet50-like", make_plain_resnet34({1, 16, 8}, 35, 1.0),
+  models.push_back({"ResNet50-like",
+                    make_plain(TaskModel::kResNet34, {1, 16, 8}, 35, 1.0),
                     {1, 16, 8}});
   models.push_back({"EfficientNetV2S-like",
-                    make_plain_resnet18({3, 8, 8}, 10, 1.0),
+                    make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 1.0),
                     {3, 8, 8}});
   auto nano = DeviceProfile::jetson_nano();
   auto pi = DeviceProfile::raspberry_pi();

@@ -35,7 +35,6 @@ int main() {
   auto attack = [&](ByzantineKind kind, double fraction,
                     const RobustAggregationConfig& robust) {
     ScenarioSpec scenario;
-    scenario.label = "byzantine";
     scenario.faults.byzantine_fraction = fraction;
     scenario.faults.byzantine_kind = kind;
     // Exact attacker count, not binomial.

@@ -34,7 +34,6 @@ int main() {
   for (const Cell& cell : cells) {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8700);
     ScenarioSpec scenario;
-    scenario.label = "drift";
     scenario.drift_rate = cell.drift;
     scenario.churn_prob = cell.churn;
     scenario.monitor_dynamics = true;
@@ -65,7 +64,6 @@ int main() {
   {
     TaskEnv env = make_task_env(spec, scale, /*seed=*/8700);
     ScenarioSpec scenario;
-    scenario.label = "drift";
     scenario.drift_rate = 1.0f;
     scenario.churn_prob = 0.5f;
     scenario.onset_round = onset;

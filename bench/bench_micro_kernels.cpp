@@ -192,7 +192,7 @@ BENCHMARK(BM_ConvTrainStepResnet)->DenseRange(0, 4);
 void BM_ModularForward(benchmark::State& state) {
   ZooOptions opts;
   opts.modules_per_layer = state.range(0);
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   Rng rng(6);
   Tensor x({16, 32});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
@@ -340,7 +340,7 @@ void BM_EdgeLegHar(benchmark::State& state) {
   ThreadPool* prev = ThreadPool::set_global(&serial);
   ZooOptions opts;
   opts.modules_per_layer = 32;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   SubmodelSpec spec;
   spec.modules.resize(zm.model->num_module_layers());
   for (auto& layer : spec.modules) layer = {0, 16};
@@ -375,7 +375,7 @@ BENCHMARK(BM_EdgeLegHar);
 void BM_ModuleWiseAggregation(benchmark::State& state) {
   ZooOptions opts;
   opts.modules_per_layer = 16;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   // Ten updates, each carrying half the modules.
   std::vector<EdgeUpdate> updates;
   Rng rng(9);
@@ -404,7 +404,7 @@ BENCHMARK(BM_ModuleWiseAggregation);
 void BM_RobustAggregationHar(benchmark::State& state) {
   ZooOptions opts;
   opts.modules_per_layer = 32;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   RobustAggregationConfig robust;
   robust.kind = RobustAggregatorKind::kMedian;
   robust.anomaly_threshold = 4.0;

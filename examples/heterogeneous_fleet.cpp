@@ -24,7 +24,7 @@ int main() {
   ProfileSampler profiler(9);
   auto profiles = profiler.sample_fleet(partition.num_devices, 0.5);
 
-  auto zoo = make_modular_resnet34({1, 16, 8}, 35);
+  auto zoo = make_modular(TaskModel::kResNet34, {1, 16, 8}, 35);
   NebulaConfig config;
   config.devices_per_round = 6;
   config.pretrain.epochs = 6;

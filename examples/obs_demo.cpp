@@ -38,8 +38,8 @@ int main() {
   NebulaConfig config;
   config.devices_per_round = 4;
   config.pretrain.epochs = 4;
-  NebulaSystem nebula(make_modular_mlp(32, 6, opts), population, profiles,
-                      config);
+  NebulaSystem nebula(make_modular(TaskModel::kMlpHar, {32}, 6, opts),
+                      population, profiles, config);
 
   std::printf("offline stage…\n");
   nebula.offline(population.proxy_data_ex(800));

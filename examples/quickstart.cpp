@@ -28,7 +28,7 @@ int main() {
 
   // 2. Modularize a ResNet18-style model (4 module layers x 16 modules,
   //    paper §6.1) and train it on the cloud's historical proxy data.
-  auto zoo = make_modular_resnet18({3, 8, 8}, /*classes=*/10);
+  auto zoo = make_modular(TaskModel::kResNet18, {3, 8, 8}, /*classes=*/10);
   NebulaConfig config;
   config.devices_per_round = 5;
   NebulaSystem nebula(std::move(zoo), population, profiles, config);

@@ -23,7 +23,7 @@ int main() {
   ProfileSampler profiler(8);
   auto profiles = profiler.sample_fleet(partition.num_devices);
 
-  auto zoo = make_modular_resnet18({3, 8, 8}, 10);
+  auto zoo = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10);
   NebulaConfig config;
   config.devices_per_round = 6;
   config.pretrain.epochs = 6;

@@ -43,8 +43,8 @@ int main() {
   NebulaConfig config;
   config.devices_per_round = 5;
   config.pretrain.epochs = 4;
-  NebulaSystem nebula(make_modular_mlp(32, 6, opts), population, profiles,
-                      config);
+  NebulaSystem nebula(make_modular(TaskModel::kMlpHar, {32}, 6, opts),
+                      population, profiles, config);
 
   obs::FlightRecorder& rec = obs::recorder();
   rec.set_enabled(true);

@@ -30,10 +30,11 @@ int main() {
   init::reseed(61);
   FedAvgConfig fa_cfg;
   fa_cfg.devices_per_round = 8;
-  FedAvg fedavg(make_plain_resnet34({1, 16, 8}, 35, 1.0), population, fa_cfg);
+  FedAvg fedavg(make_plain(TaskModel::kResNet34, {1, 16, 8}, 35, 1.0),
+                population, fa_cfg);
   fedavg.pretrain(proxy.data, pretrain);
 
-  auto zoo = make_modular_resnet34({1, 16, 8}, 35);
+  auto zoo = make_modular(TaskModel::kResNet34, {1, 16, 8}, 35);
   NebulaConfig nb_cfg;
   nb_cfg.devices_per_round = 8;
   nb_cfg.pretrain.epochs = 6;

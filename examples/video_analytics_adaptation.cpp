@@ -35,19 +35,19 @@ int main() {
   TrainConfig pretrain;
   pretrain.epochs = 6;
   init::reseed(41);
-  NoAdaptation static_model(make_plain_resnet18({3, 8, 8}, 10, 1.0),
-                            population);
+  NoAdaptation static_model(
+      make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 1.0), population);
   static_model.pretrain(proxy.data, pretrain);
   TrainConfig local;
   local.epochs = 6;
   local.lr = 0.02f;
   init::reseed(42);
-  LocalAdaptation local_only(make_plain_resnet18({3, 8, 8}, 10, 1.0),
-                             population, local);
+  LocalAdaptation local_only(
+      make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 1.0), population, local);
   local_only.pretrain(proxy.data, pretrain);
 
   // Nebula.
-  auto zoo = make_modular_resnet18({3, 8, 8}, 10);
+  auto zoo = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10);
   NebulaConfig config;
   config.devices_per_round = 8;
   config.pretrain.epochs = 6;

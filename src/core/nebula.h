@@ -7,7 +7,7 @@
 //
 //   SyntheticGenerator gen(cifar10_like_spec(), seed);
 //   EdgePopulation pop(gen, partition_cfg);
-//   auto zoo = make_modular_resnet18({3, 8, 8}, 10);
+//   auto zoo = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10);
 //   NebulaSystem nebula(std::move(zoo), pop, profiles, cfg);
 //   nebula.offline(pop.proxy_data_ex(3000));     // on-cloud prototyping
 //   for (int r = 0; r < rounds; ++r) nebula.round();  // collaborative adapt

@@ -5,7 +5,6 @@
 
 #include "nn/init.h"
 #include "nn/state.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -123,20 +122,10 @@ TaskEnv make_task_env(const TaskSpec& spec, const BenchScale& scale,
   return env;
 }
 
-// Task/partition names become metric-name segments ("1 subject" etc.), so
-// keep them token-shaped for grep/Prometheus-style tooling.
-static std::string metric_token(std::string s) {
-  for (char& c : s) {
-    if (c == ' ' || c == '/') c = '_';
-  }
-  return s;
-}
-
 AdaptationResult run_adaptation_comparison(TaskEnv& env,
                                            const BenchScale& scale,
                                            std::uint64_t seed) {
   NEBULA_SPAN("experiment.adaptation");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   TrainConfig pre;
   pre.epochs = scale.pretrain_epochs;
@@ -265,11 +254,6 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
   res.comm_mb_fa = fa.ledger().total_mb();
   res.comm_mb_hfl = hfl.ledger().total_mb();
   res.comm_mb_nebula = nebula.ledger().total_mb();
-  // Per-figure wall time: the perf-trajectory harness snapshots gauges with
-  // this prefix into BENCH_experiments.json.
-  obs::gauge("experiment.adaptation." + metric_token(env.spec.dataset_name) +
-             "." + metric_token(env.spec.partition_name) + ".wall_s")
-      .set(wall.elapsed_s());
   return res;
 }
 
@@ -298,7 +282,6 @@ ScenarioResult run_scenario(TaskEnv& env, const BenchScale& scale,
                        scenario.churn_prob <= 1.0f,
                    "scenario drift rate and churn probability must lie in "
                    "[0, 1]");
-  obs::WallTimer wall;
   EdgePopulation& pop = *env.population;
   TrainConfig pre;
   pre.epochs = scale.pretrain_epochs;
@@ -425,13 +408,6 @@ ScenarioResult run_scenario(TaskEnv& env, const BenchScale& scale,
   }
   res.nebula_goodput_mb = sys.ledger().total_mb();
   res.nebula_overhead_mb = sys.ledger().overhead_mb();
-  std::string key = "experiment." + scenario.label + "." +
-                    metric_token(env.spec.dataset_name) + "." +
-                    metric_token(env.spec.partition_name);
-  if (scenario.label == "byzantine") {
-    key += std::string(".") + robust_aggregator_name(scenario.robust.kind);
-  }
-  obs::gauge(key + ".wall_s").set(wall.elapsed_s());
   return res;
 }
 

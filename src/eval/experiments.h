@@ -99,10 +99,6 @@ AdaptationResult run_adaptation_comparison(TaskEnv& env,
 /// (same seed, same coordinates, same device regions) in the same moving
 /// population.
 struct ScenarioSpec {
-  /// Names the run's wall-time gauge,
-  /// experiment.<label>.<dataset>.<partition>.wall_s; a "byzantine" run's
-  /// key also names the aggregator before ".wall_s".
-  std::string label = "faults";
   FaultConfig faults;              // shared by both systems
   RobustAggregationConfig robust;  // Nebula's aggregation policy
   float drift_rate = 0.0f;         // EdgePopulation::set_dynamics knobs

@@ -49,7 +49,7 @@ TEST(AbilityGuidance, KlTermPullsSelectorTowardTargets) {
   ZooOptions opts;
   opts.modules_per_layer = 8;
   opts.init_seed = 4321;
-  auto zm = make_modular_mlp(192, 10, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {192}, 10, opts);
   TrainConfig pre;
   pre.epochs = 3;
   train_modular(*zm.model, *zm.selector, proxy.data, pre);
@@ -95,7 +95,7 @@ TEST(AbilityGuidance, EnhanceConcentratesMappingOnAssignedModules) {
   ZooOptions opts;
   opts.modules_per_layer = 8;
   opts.init_seed = 778;
-  auto zm = make_modular_mlp(192, 10, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {192}, 10, opts);
   TrainConfig pre;
   pre.epochs = 3;
   train_modular(*zm.model, *zm.selector, proxy.data, pre);
@@ -129,7 +129,7 @@ TEST(EvaluateModular, HandlesDatasetsSmallerThanEvalBatch) {
   ZooOptions opts;
   opts.modules_per_layer = 4;
   opts.init_seed = 779;
-  auto zm = make_modular_mlp(16, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {16}, 3, opts);
   SyntheticSpec spec;
   spec.name = "tiny";
   spec.num_classes = 3;

@@ -229,7 +229,7 @@ ZooModel make_cloud() {
   ZooOptions opts;
   opts.modules_per_layer = 4;
   opts.init_seed = 505;
-  return make_modular_mlp(8, 3, opts);
+  return make_modular(TaskModel::kMlpHar, {8}, 3, opts);
 }
 
 EdgeUpdate update_for(ModularModel& cloud, const SubmodelSpec& spec,

@@ -17,9 +17,9 @@ namespace {
 
 TEST(Nested, ExtractCopiesPrefixBlocks) {
   init::reseed(601);
-  auto full = make_plain_mlp(8, 3, 1.0);
+  auto full = make_plain(TaskModel::kMlpHar, {8}, 3, 1.0);
   init::reseed(602);
-  auto half = make_plain_mlp(8, 3, 0.5);
+  auto half = make_plain(TaskModel::kMlpHar, {8}, 3, 0.5);
   nested_extract(*full, *half);
   // First linear layer of the half model equals the top-left block of the
   // full model's first linear layer.
@@ -36,19 +36,19 @@ TEST(Nested, ExtractCopiesPrefixBlocks) {
 }
 
 TEST(Nested, ExtractRejectsMismatchedArchitectures) {
-  auto mlp = make_plain_mlp(8, 3, 1.0);
-  auto conv = make_plain_resnet18({3, 8, 8}, 3, 1.0);
+  auto mlp = make_plain(TaskModel::kMlpHar, {8}, 3, 1.0);
+  auto conv = make_plain(TaskModel::kResNet18, {3, 8, 8}, 3, 1.0);
   EXPECT_THROW(nested_extract(*mlp, *conv), std::runtime_error);
 }
 
 TEST(Nested, AggregatorAveragesCoveredRegions) {
   init::reseed(603);
-  auto full = make_plain_mlp(4, 2, 1.0);
+  auto full = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
   for (Param* p : full->params()) p->value.fill(0.0f);
   init::reseed(604);
-  auto a = make_plain_mlp(4, 2, 0.5);
+  auto a = make_plain(TaskModel::kMlpHar, {4}, 2, 0.5);
   init::reseed(605);
-  auto b = make_plain_mlp(4, 2, 1.0);
+  auto b = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
   for (Param* p : a->params()) p->value.fill(2.0f);
   for (Param* p : b->params()) p->value.fill(4.0f);
   NestedAggregator agg(*full);
@@ -63,9 +63,9 @@ TEST(Nested, AggregatorAveragesCoveredRegions) {
 
 TEST(Nested, AggregatorWeightsRespected) {
   init::reseed(606);
-  auto full = make_plain_mlp(4, 2, 1.0);
-  auto a = make_plain_mlp(4, 2, 1.0);
-  auto b = make_plain_mlp(4, 2, 1.0);
+  auto full = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
+  auto a = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
+  auto b = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
   for (Param* p : a->params()) p->value.fill(10.0f);
   for (Param* p : b->params()) p->value.fill(0.0f);
   NestedAggregator agg(*full);
@@ -99,7 +99,7 @@ TEST_F(FleetFixture, FedAvgRoundImprovesAndCountsComm) {
   init::reseed(607);
   FedAvgConfig cfg;
   cfg.devices_per_round = 4;
-  FedAvg fa(make_plain_mlp(32, 6, 1.0), *pop_, cfg);
+  FedAvg fa(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *pop_, cfg);
   TrainConfig pre;
   pre.epochs = 4;
   fa.pretrain(proxy_, pre);
@@ -120,7 +120,7 @@ TEST_F(FleetFixture, FedAvgHasNoFaultDefences) {
   init::reseed(612);
   FedAvgConfig cfg;
   cfg.devices_per_round = 4;
-  FedAvg fa(make_plain_mlp(32, 6, 1.0), *pop_, cfg);
+  FedAvg fa(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *pop_, cfg);
   TrainConfig pre;
   pre.epochs = 2;
   fa.pretrain(proxy_, pre);
@@ -162,8 +162,9 @@ TEST_F(FleetFixture, HeteroFLTiersShrinkWithCapacity) {
   init::reseed(608);
   HeteroFLConfig cfg;
   cfg.devices_per_round = 4;
-  HeteroFL hfl([](double w) { return make_plain_mlp(32, 6, w); }, *pop_,
-               profiles_, cfg);
+  HeteroFL hfl(
+      [](double w) { return make_plain(TaskModel::kMlpHar, {32}, 6, w); },
+      *pop_, profiles_, cfg);
   // Tier widths follow capacity order.
   for (int a = 0; a < 12; ++a) {
     for (int b = 0; b < 12; ++b) {
@@ -188,7 +189,7 @@ TEST_F(FleetFixture, HeteroFLTiersShrinkWithCapacity) {
 
 TEST_F(FleetFixture, NoAdaptationIsStatic) {
   init::reseed(609);
-  NoAdaptation na(make_plain_mlp(32, 6, 1.0), *pop_);
+  NoAdaptation na(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *pop_);
   TrainConfig pre;
   pre.epochs = 4;
   na.pretrain(proxy_, pre);
@@ -208,7 +209,8 @@ TEST_F(FleetFixture, LocalAdaptationImprovesOnDeviceTask) {
   TrainConfig local;
   local.epochs = 6;
   local.lr = 0.02f;
-  LocalAdaptation la(make_plain_mlp(32, 6, 1.0), *pop_, local);
+  LocalAdaptation la(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *pop_,
+                     local);
   TrainConfig pre;
   pre.epochs = 2;  // weak pre-training leaves headroom
   la.pretrain(proxy_, pre);
@@ -224,8 +226,9 @@ TEST_F(FleetFixture, AdaptiveNetPicksBranchByCapacity) {
   init::reseed(611);
   TrainConfig local;
   local.epochs = 4;
-  AdaptiveNetLike an([](double w) { return make_plain_mlp(32, 6, w); },
-                     {0.5, 0.75, 1.0}, *pop_, profiles_, local);
+  AdaptiveNetLike an(
+      [](double w) { return make_plain(TaskModel::kMlpHar, {32}, 6, w); },
+      {0.5, 0.75, 1.0}, *pop_, profiles_, local);
   for (int a = 0; a < 12; ++a) {
     for (int b = 0; b < 12; ++b) {
       if (profiles_[a].mem_capacity_mb < profiles_[b].mem_capacity_mb) {

@@ -11,7 +11,7 @@ SubmodelDerivation make_derivation(std::int64_t modules_per_layer = 6) {
   ZooOptions opts;
   opts.modules_per_layer = modules_per_layer;
   opts.init_seed = 404;
-  auto zm = make_modular_mlp(16, 4, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {16}, 4, opts);
   return SubmodelDerivation(zm.model->module_costs(),
                             zm.model->shared_cost());
 }
@@ -137,7 +137,7 @@ TEST(Derivation, DerivedSpecBuildsRunnableSubmodel) {
   ZooOptions opts;
   opts.modules_per_layer = 6;
   opts.init_seed = 405;
-  auto zm = make_modular_mlp(16, 4, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {16}, 4, opts);
   SubmodelDerivation der(zm.model->module_costs(), zm.model->shared_cost());
   DerivationRequest req = uniform_request(der, 1, 6, 0.5);
   auto res = der.derive(req);

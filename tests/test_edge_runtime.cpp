@@ -14,7 +14,7 @@ struct RuntimeFixture : public ::testing::Test {
     ZooOptions opts;
     opts.modules_per_layer = 6;
     opts.init_seed = 808;
-    zm_ = make_modular_mlp(16, 4, opts);
+    zm_ = make_modular(TaskModel::kMlpHar, {16}, 4, opts);
     // Resident sub-model: modules {0, 1, 2, 5} of the only layer.
     SubmodelSpec spec;
     spec.modules = {{0, 1, 2, 5}};

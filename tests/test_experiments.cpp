@@ -227,7 +227,6 @@ TEST(Scenario, CleanFaultRunAggregatesEveryRound) {
 
 TEST(Scenario, ByzantineRunGatesTheCoalition) {
   ScenarioSpec scenario;
-  scenario.label = "byzantine";
   scenario.faults.byzantine_fraction = 0.3;
   scenario.faults.byzantine_kind = ByzantineKind::kSignFlip;
   scenario.faults.num_devices = tiny_scale().devices;
@@ -242,7 +241,6 @@ TEST(Scenario, ByzantineRunGatesTheCoalition) {
 
 TEST(Scenario, DriftOnsetRunChurnsOnlyFromTheOnset) {
   ScenarioSpec scenario;
-  scenario.label = "drift";
   scenario.drift_rate = 1.0f;
   scenario.churn_prob = 0.5f;
   scenario.onset_round = tiny_scale().warm_rounds;

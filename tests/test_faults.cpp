@@ -42,7 +42,8 @@ struct FaultWorld {
     opts.init_seed = 909;
     cfg.devices_per_round = 4;
     cfg.pretrain.epochs = 4;
-    return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
+    return NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *pop,
+                        profiles, cfg);
   }
 };
 

@@ -395,7 +395,8 @@ struct World {
     opts.init_seed = 909;
     cfg.devices_per_round = 4;
     cfg.pretrain.epochs = 4;
-    return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
+    return NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *pop,
+                        profiles, cfg);
   }
 };
 
@@ -647,7 +648,6 @@ TEST(OnsetDetection, ByzantineAttackAlertsAtInjectedOnsetRound) {
   TaskSpec spec = task_by_name("HAR", "1 subject");
   TaskEnv env = make_task_env(spec, scale, /*seed=*/5100);
   ScenarioSpec scenario;
-  scenario.label = "byzantine";
   scenario.faults.byzantine_fraction = 0.5;
   scenario.faults.byzantine_kind = ByzantineKind::kSignFlip;
   scenario.faults.num_devices = scale.devices;
@@ -676,7 +676,6 @@ TEST(OnsetDetection, EnvironmentShiftAlertsAtInjectedOnsetRound) {
   TaskEnv env = make_task_env(spec, scale, /*seed=*/5400);
   const std::int64_t onset = scale.warm_rounds;
   ScenarioSpec scenario;
-  scenario.label = "drift";
   scenario.drift_rate = 1.0f;
   scenario.churn_prob = 0.6f;
   scenario.onset_round = onset;

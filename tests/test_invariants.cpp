@@ -19,7 +19,7 @@ TEST(Invariants, AggregationOfOwnStateIsIdentity) {
   ZooOptions opts;
   opts.modules_per_layer = 5;
   opts.init_seed = 1001;
-  auto zm = make_modular_mlp(8, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {8}, 3, opts);
   auto before_shared = zm.model->shared_state();
   auto before_m0 = zm.model->module_state(0, 0);
 
@@ -42,7 +42,7 @@ TEST(Invariants, ModuleCostsMatchDerivedSubmodels) {
   ZooOptions opts;
   opts.modules_per_layer = 6;
   opts.init_seed = 1002;
-  auto zm = make_modular_resnet18({3, 8, 8}, 10, opts);
+  auto zm = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10, opts);
   auto costs = zm.model->module_costs();
   const auto shared = zm.model->shared_cost();
 
@@ -64,7 +64,7 @@ TEST(Invariants, SelectorDecoupledFromDerivation) {
   ZooOptions opts;
   opts.modules_per_layer = 6;
   opts.init_seed = 1003;
-  auto zm = make_modular_mlp(12, 4, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {12}, 4, opts);
   Rng rng(2);
   Tensor x({5, 12});
   fill_random(x, rng);
@@ -88,7 +88,7 @@ TEST(Invariants, EvalDoesNotChangeParameters) {
   ZooOptions opts;
   opts.modules_per_layer = 4;
   opts.init_seed = 1004;
-  auto zm = make_modular_mlp(8, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {8}, 3, opts);
   auto shared = zm.model->shared_state();
   auto sel = zm.selector->state();
   Rng rng(3);
@@ -107,7 +107,7 @@ TEST(Invariants, DerivationDeterministic) {
   ZooOptions opts;
   opts.modules_per_layer = 8;
   opts.init_seed = 1005;
-  auto zm = make_modular_mlp(8, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {8}, 3, opts);
   SubmodelDerivation der(zm.model->module_costs(), zm.model->shared_cost());
   DerivationRequest req;
   Rng rng(4);
@@ -125,7 +125,7 @@ TEST(Invariants, DeterministicRoutingIsReproducible) {
   ZooOptions opts;
   opts.modules_per_layer = 6;
   opts.init_seed = 1006;
-  auto zm = make_modular_resnet18({3, 8, 8}, 10, opts);
+  auto zm = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10, opts);
   Rng rng(5);
   Tensor x({3, 3, 8, 8});
   fill_random(x, rng);
@@ -145,7 +145,7 @@ TEST(Invariants, StateSizesConsistentAcrossTransferPaths) {
   ZooOptions opts;
   opts.modules_per_layer = 5;
   opts.init_seed = 1007;
-  auto zm = make_modular_mlp(8, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {8}, 3, opts);
   SubmodelSpec spec;
   spec.modules = {{0, 2, 4}};
   auto sub = zm.model->derive_submodel(spec);
@@ -167,7 +167,7 @@ TEST_P(TopKSweep, ForwardFiniteForAllK) {
   ZooOptions opts;
   opts.modules_per_layer = 6;
   opts.init_seed = 1010 + GetParam();
-  auto zm = make_modular_mlp(8, 3, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {8}, 3, opts);
   Rng rng(6 + GetParam());
   Tensor x({4, 8});
   fill_random(x, rng);

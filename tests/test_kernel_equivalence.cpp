@@ -905,9 +905,9 @@ std::int64_t selector_forwards() {
 ZooModel gate_memo_model(bool cifar) {
   ZooOptions opts;
   opts.init_seed = 2024;
-  if (cifar) return make_modular_resnet18({3, 8, 8}, 10, opts);
+  if (cifar) return make_modular(TaskModel::kResNet18, {3, 8, 8}, 10, opts);
   opts.modules_per_layer = 32;
-  return make_modular_mlp(32, 6, opts);
+  return make_modular(TaskModel::kMlpHar, {32}, 6, opts);
 }
 
 Dataset random_dataset(const std::vector<std::int64_t>& sample_shape,

@@ -36,7 +36,8 @@ struct SmallWorld {
     opts.init_seed = 911;
     cfg.devices_per_round = 4;
     cfg.pretrain.epochs = 2;
-    return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
+    return NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *pop,
+                        profiles, cfg);
   }
 };
 

@@ -16,7 +16,7 @@ ZooModel small_mlp() {
   ZooOptions opts;
   opts.modules_per_layer = 4;
   opts.init_seed = 77;
-  return make_modular_mlp(8, 3, opts);
+  return make_modular(TaskModel::kMlpHar, {8}, 3, opts);
 }
 
 GateResult eval_gates(ModuleSelector& sel, const Tensor& x_flat) {

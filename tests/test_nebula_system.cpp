@@ -39,7 +39,8 @@ struct SmallWorld {
     opts.init_seed = 909;
     cfg.devices_per_round = 4;
     cfg.pretrain.epochs = 4;
-    return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
+    return NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *pop,
+                        profiles, cfg);
   }
 };
 
@@ -315,8 +316,8 @@ TEST(NebulaSystem, ProfileCountMismatchThrows) {
   NebulaConfig cfg;
   std::vector<DeviceProfile> wrong(world.profiles.begin(),
                                    world.profiles.begin() + 3);
-  EXPECT_THROW(NebulaSystem(make_modular_mlp(32, 6, opts), *world.pop, wrong,
-                            cfg),
+  EXPECT_THROW(NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts),
+                            *world.pop, wrong, cfg),
                std::runtime_error);
 }
 

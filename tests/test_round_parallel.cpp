@@ -84,7 +84,8 @@ struct World {
     opts.init_seed = 909;
     cfg.devices_per_round = 4;
     cfg.pretrain.epochs = 4;
-    return NebulaSystem(make_modular_mlp(32, 6, opts), *pop, profiles, cfg);
+    return NebulaSystem(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *pop,
+                        profiles, cfg);
   }
 };
 
@@ -122,8 +123,9 @@ struct ConvWorld {
     cfg.pretrain.epochs = 2;
     cfg.ability.finetune.epochs = 1;
     cfg.edge.epochs = 1;
-    return NebulaSystem(make_modular_resnet18({3, 8, 8}, 10, opts), *pop,
-                        profiles, cfg);
+    return NebulaSystem(
+        make_modular(TaskModel::kResNet18, {3, 8, 8}, 10, opts), *pop,
+        profiles, cfg);
   }
 };
 
@@ -291,11 +293,11 @@ TEST(ParallelRound, FedAvgRoundsAreBitIdentical) {
   FaultInjector inj_a(fc), inj_b(fc);
 
   init::reseed(501);
-  FedAvg serial(make_plain_mlp(32, 6, 1.0), *w1.pop, cfg);
+  FedAvg serial(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *w1.pop, cfg);
   serial.pretrain(w1.proxy.data, pre);
   serial.set_fault_injector(&inj_a);
   init::reseed(501);
-  FedAvg parallel(make_plain_mlp(32, 6, 1.0), *w2.pop, cfg);
+  FedAvg parallel(make_plain(TaskModel::kMlpHar, {32}, 6, 1.0), *w2.pop, cfg);
   parallel.pretrain(w2.proxy.data, pre);
   parallel.set_fault_injector(&inj_b);
 
@@ -320,7 +322,9 @@ TEST(ParallelRound, HeteroFLRoundsAreBitIdentical) {
   cfg.devices_per_round = 4;
   TrainConfig pre;
   pre.epochs = 2;
-  auto factory = [](double w) { return make_plain_mlp(32, 6, w); };
+  auto factory = [](double w) {
+    return make_plain(TaskModel::kMlpHar, {32}, 6, w);
+  };
 
   init::reseed(502);
   HeteroFL serial(factory, *w1.pop, w1.profiles, cfg);
@@ -387,7 +391,8 @@ TEST(ParallelRoundConv, FedAvgRoundsAreBitIdentical) {
     ConvWorld w;
     FaultInjector inj(fc);
     init::reseed(503);
-    FedAvg sys(make_plain_resnet18({3, 8, 8}, 10, 1.0), *w.pop, cfg);
+    FedAvg sys(make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 1.0), *w.pop,
+               cfg);
     sys.pretrain(w.proxy.data, pre);
     sys.set_fault_injector(&inj);
     std::vector<std::vector<std::int64_t>> parts;
@@ -424,7 +429,9 @@ TEST(ParallelRoundConv, HeteroFLRoundsAreBitIdentical) {
   FaultConfig fc;
   fc.dropout_prob = 0.2;
   fc.seed = 79;
-  auto factory = [](double w) { return make_plain_resnet18({3, 8, 8}, 10, w); };
+  auto factory = [](double w) {
+    return make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, w);
+  };
 
   auto run = [&](std::size_t workers) {
     ConvWorld w;
@@ -650,7 +657,7 @@ TEST(GateMemo, ThreadsSharingOneSelectorKeepTheirOwnTables) {
   ZooOptions opts;
   opts.modules_per_layer = 32;
   opts.init_seed = 515;
-  ZooModel zm = make_modular_mlp(32, 6, opts);
+  ZooModel zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   ModuleSelector& sel = *zm.selector;
   Rng rng(77);
   std::vector<Tensor> inputs;
@@ -718,7 +725,8 @@ TEST(GateMemo, RoundAndPublicCallReplayRunTheSameSelectorForwards) {
   NebulaConfig cfg;
   cfg.devices_per_round = 4;
   cfg.pretrain.epochs = 1;
-  NebulaSystem sys(make_modular_mlp(32, 6, opts), *w.pop, w.profiles, cfg);
+  NebulaSystem sys(make_modular(TaskModel::kMlpHar, {32}, 6, opts), *w.pop,
+                   w.profiles, cfg);
   sys.offline(w.proxy);
   RoundReport rep;
   std::int64_t round_forwards = 0, replay_forwards = 0;

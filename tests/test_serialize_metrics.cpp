@@ -36,9 +36,9 @@ TEST(Serialize, EmptyStateOk) {
 TEST(Serialize, ModelRoundTripPreservesOutputs) {
   const std::string path = temp_path("model.neb");
   init::reseed(901);
-  auto a = make_plain_mlp(8, 3, 1.0);
+  auto a = make_plain(TaskModel::kMlpHar, {8}, 3, 1.0);
   init::reseed(902);
-  auto b = make_plain_mlp(8, 3, 1.0);
+  auto b = make_plain(TaskModel::kMlpHar, {8}, 3, 1.0);
   save_model(path, *a);
   load_model(path, *b);
   Rng rng(3);
@@ -64,10 +64,10 @@ TEST(Serialize, RejectsCorruptFiles) {
 TEST(Serialize, SizeMismatchOnLoadThrows) {
   const std::string path = temp_path("small.neb");
   init::reseed(903);
-  auto small = make_plain_mlp(4, 2, 0.5);
+  auto small = make_plain(TaskModel::kMlpHar, {4}, 2, 0.5);
   save_model(path, *small);
   init::reseed(904);
-  auto big = make_plain_mlp(4, 2, 1.0);
+  auto big = make_plain(TaskModel::kMlpHar, {4}, 2, 1.0);
   EXPECT_THROW(load_model(path, *big), std::runtime_error);
   std::remove(path.c_str());
 }

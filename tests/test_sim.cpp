@@ -71,7 +71,7 @@ class CostModelTest : public ::testing::Test {
  protected:
   void SetUp() override {
     init::reseed(0xC057);
-    model_ = make_plain_resnet18({3, 8, 8}, 10, 1.0);
+    model_ = make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 1.0);
   }
   LayerPtr model_;
 };
@@ -118,7 +118,7 @@ TEST_F(CostModelTest, SlowerDeviceIsSlower) {
 
 TEST_F(CostModelTest, BiggerModelCostsMore) {
   init::reseed(0xC058);
-  auto half = make_plain_resnet18({3, 8, 8}, 10, 0.5);
+  auto half = make_plain(TaskModel::kResNet18, {3, 8, 8}, 10, 0.5);
   EXPECT_LT(CostModel::model_size_mb(*half),
             CostModel::model_size_mb(*model_));
   EXPECT_LT(CostModel::forward_flops(*half, {3, 8, 8}),

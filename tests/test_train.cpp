@@ -22,7 +22,7 @@ TEST(TrainModular, LearnsHarLikeTask) {
 
   ZooOptions opts;
   opts.modules_per_layer = 8;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
 
   TrainConfig cfg;
   cfg.epochs = 6;
@@ -42,7 +42,7 @@ TEST(TrainModular, ConvModelLearns) {
 
   ZooOptions opts;
   opts.modules_per_layer = 4;
-  auto zm = make_modular_resnet18({3, 8, 8}, 10, opts);
+  auto zm = make_modular(TaskModel::kResNet18, {3, 8, 8}, 10, opts);
   TrainConfig cfg;
   cfg.epochs = 4;
   train_modular(*zm.model, *zm.selector, train, cfg);
@@ -58,7 +58,7 @@ TEST(TrainModular, LoadBalanceReducesRoutingImbalance) {
     ZooOptions opts;
     opts.modules_per_layer = 8;
     opts.init_seed = 0x5eed;
-    auto zm = make_modular_mlp(32, 6, opts);
+    auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
     TrainConfig cfg;
     cfg.epochs = 4;
     cfg.lambda_balance = lambda;
@@ -92,7 +92,7 @@ TEST(TrainModular, FrozenSelectorStillTrainsModules) {
 
   ZooOptions opts;
   opts.modules_per_layer = 4;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   auto before_state = zm.selector->state();
 
   TrainConfig cfg;
@@ -115,7 +115,7 @@ TEST(TrainPlain, LearnsHarLikeTask) {
   Rng rng(5);
   Dataset train = gen.sample(1200, rng).data;
   Dataset test = gen.sample(300, rng).data;
-  auto model = make_plain_mlp(32, 6);
+  auto model = make_plain(TaskModel::kMlpHar, {32}, 6);
   TrainConfig cfg;
   cfg.epochs = 6;
   train_plain(*model, train, cfg);
@@ -123,7 +123,7 @@ TEST(TrainPlain, LearnsHarLikeTask) {
 }
 
 TEST(TrainPlain, EmptyDatasetThrows) {
-  auto model = make_plain_mlp(4, 2);
+  auto model = make_plain(TaskModel::kMlpHar, {4}, 2);
   Dataset empty;
   TrainConfig cfg;
   EXPECT_THROW(train_plain(*model, empty, cfg), std::runtime_error);
@@ -143,7 +143,7 @@ TEST(Ability, MappingMatrixRowsAreDistributions) {
 
   ZooOptions opts;
   opts.modules_per_layer = 6;
-  auto zm = make_modular_mlp(192, 10, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {192}, 10, opts);
   auto h = compute_mapping_matrix(*zm.selector, proxy.data, subtasks,
                                   pop.num_contexts());
   ASSERT_EQ(h.size(), 1u);
@@ -173,7 +173,7 @@ TEST(Ability, EnhanceProducesValidTargetsAndTrains) {
 
   ZooOptions opts;
   opts.modules_per_layer = 6;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   TrainConfig pre;
   pre.epochs = 2;
   train_modular(*zm.model, *zm.selector, proxy.data, pre);
@@ -206,7 +206,7 @@ TEST(Evaluate, PerfectOnTrivedTask) {
   Dataset train = gen.sample_classes(200, {2}, rng).data;
   ZooOptions opts;
   opts.modules_per_layer = 4;
-  auto zm = make_modular_mlp(32, 6, opts);
+  auto zm = make_modular(TaskModel::kMlpHar, {32}, 6, opts);
   TrainConfig cfg;
   cfg.epochs = 3;
   train_modular(*zm.model, *zm.selector, train, cfg);

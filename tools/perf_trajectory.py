@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
-"""Perf-trajectory harness: distil benchmarks into BENCH_*.json trajectories.
+"""Perf-trajectory harness: distil kernel benchmarks into BENCH_kernels.json.
 
-Two suites, same label-keyed trajectory format:
-
-* Kernels — runs ``bench_micro_kernels`` with ``--benchmark_format=json`` (or
-  ingests a pre-recorded dump via ``--from-json``) and records the distilled
-  numbers in ``BENCH_kernels.json`` at the repo root.
-* Experiments — runs ``bench_experiments`` (which prints the metrics registry
-  as JSON on stdout) and records the ``experiment.*.wall_s`` gauges — whole
-  figure wall-times — in ``BENCH_experiments.json``.
-
-Each perf PR appends its label, so the files carry the before/after
-trajectory of every kernel and figure across the project's history.
+Runs ``bench_micro_kernels`` with ``--benchmark_format=json`` (or ingests a
+pre-recorded dump via ``--from-json``) and records the distilled numbers in
+``BENCH_kernels.json`` at the repo root, keyed by label. Each perf change
+appends its label, so the file carries the before/after trajectory of every
+kernel across the project's history. End-to-end round timing lives in
+``roundbench`` (roundbench/README.md).
 
 Usage:
   python3 tools/perf_trajectory.py --bench-bin build/bench/bench_micro_kernels
   python3 tools/perf_trajectory.py --from-json dump.json --label seed
-  python3 tools/perf_trajectory.py --experiments-bin build/bench/bench_experiments
 
 Typically driven through the ``bench_trajectory`` CMake target.
 """
@@ -57,28 +51,6 @@ def distil(raw):
     return results
 
 
-def run_experiments(experiments_bin):
-    """Run bench_experiments and return its {name: {...}} results.
-
-    The binary prints the metrics registry JSON on stdout (progress goes to
-    stderr); the per-figure wall-times live in gauges named
-    ``experiment.<figure>.<variant>.wall_s``, and dimensionless overhead
-    ratios (e.g. ``experiment.obs_overhead.ratio``, flight recorder on/off)
-    in gauges ending ``.ratio``.
-    """
-    out = subprocess.run([experiments_bin], check=True, capture_output=True,
-                         text=True)
-    sys.stderr.write(out.stderr)
-    metrics = json.loads(out.stdout)
-    results = {}
-    for name, value in metrics.get("gauges", {}).items():
-        if name.startswith("experiment.") and name.endswith(".wall_s"):
-            results[name] = {"wall_s": round(value, 3)}
-        elif name.startswith("experiment.") and name.endswith(".ratio"):
-            results[name] = {"ratio": round(value, 4)}
-    return results
-
-
 def load_trajectory(path, note):
     if os.path.exists(path):
         with open(path) as f:
@@ -109,11 +81,6 @@ KERNELS_NOTE = (
     "Kernel perf trajectory. Regenerate with `make bench_trajectory` "
     "(or tools/perf_trajectory.py). Entries are append/replace by "
     "label; the first entry is the seed baseline."
-)
-EXPERIMENTS_NOTE = (
-    "Per-figure experiment wall-time trajectory (reduced scale). Regenerate "
-    "with `make bench_trajectory` or tools/perf_trajectory.py "
-    "--experiments-bin. Entries are append/replace by label."
 )
 
 
@@ -157,37 +124,10 @@ def run_kernel_suite(args):
     return 0
 
 
-def run_experiment_suite(args):
-    results = run_experiments(args.experiments_bin)
-    if not results:
-        print("no experiment.*.wall_s gauges in bench_experiments output",
-              file=sys.stderr)
-        return 1
-
-    out_path = os.path.join(args.repo_root, "BENCH_experiments.json")
-    context = {"bench_scale": os.environ.get("NEBULA_BENCH_SCALE", "1")}
-    entries = append_entry(out_path, EXPERIMENTS_NOTE, args.label, context,
-                           results)
-
-    baseline = entries[0]["results"] if len(entries) > 1 else None
-    print(f"wrote {out_path} [{args.label}]")
-    for name, r in sorted(results.items()):
-        if "ratio" in r:
-            print(f"  {name:48s} {r['ratio']:>9.4f} x")
-            continue
-        line = f"  {name:48s} {r['wall_s']:>9.3f} s"
-        if baseline and name in baseline and "wall_s" in baseline[name]:
-            speedup = baseline[name]["wall_s"] / r["wall_s"]
-            line += f"  ({speedup:.2f}x vs {entries[0]['label']})"
-        print(line)
-    return 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bench-bin", help="path to bench_micro_kernels")
     ap.add_argument("--from-json", help="ingest an existing benchmark dump")
-    ap.add_argument("--experiments-bin", help="path to bench_experiments")
     ap.add_argument("--label", default="current", help="entry label")
     ap.add_argument("--filter", default=DEFAULT_FILTER)
     ap.add_argument("--min-time", default="0.2")
@@ -195,15 +135,9 @@ def main():
         os.path.dirname(os.path.abspath(__file__))))
     args = ap.parse_args()
 
-    if not (args.bench_bin or args.from_json or args.experiments_bin):
-        ap.error("need --bench-bin, --from-json and/or --experiments-bin")
-
-    rc = 0
-    if args.bench_bin or args.from_json:
-        rc = run_kernel_suite(args) or rc
-    if args.experiments_bin:
-        rc = run_experiment_suite(args) or rc
-    return rc
+    if not (args.bench_bin or args.from_json):
+        ap.error("need --bench-bin or --from-json")
+    return run_kernel_suite(args)
 
 
 if __name__ == "__main__":
