@@ -377,6 +377,11 @@ UpdateVerdict validate_update(ModularModel& cloud, const EdgeUpdate& up,
       if (gid < 0 || gid >= cloud.full_widths()[l]) {
         return UpdateVerdict::kStateSizeMismatch;
       }
+      // A repeated id would be billed twice but folded once.
+      if (std::find(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(j),
+                    gid) != ids.begin() + static_cast<std::ptrdiff_t>(j)) {
+        return UpdateVerdict::kStateSizeMismatch;
+      }
       const auto& state = up.module_states[l][j];
       if (static_cast<std::int64_t>(state.size()) !=
           cloud.module_state_size(l, gid)) {

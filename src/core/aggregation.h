@@ -39,7 +39,8 @@ enum class AggregationWeighting {
 enum class UpdateVerdict {
   kOk,
   kLayerCountMismatch,  // wrong number of module layers / importance rows
-  kStateSizeMismatch,   // a module id or payload doesn't match the cloud spec
+  kStateSizeMismatch,   // a module id (out of range or repeated in a layer)
+                        // or payload doesn't match the cloud spec
   kNonFinite,           // NaN/Inf anywhere in the payload
   kNormBound,           // payload RMS exceeds the configured bound
   kNoSamples,           // claims zero (or negative) training samples
@@ -122,8 +123,9 @@ struct AggregationOutcome {
   std::vector<double> anomaly_scores;
 };
 
-/// Validates `up` against `cloud`'s architecture: layer counts, per-module
-/// and shared state sizes vs. the spec, finiteness of every parameter, and
+/// Validates `up` against `cloud`'s architecture: layer counts, module ids
+/// (in range, each at most once per layer), per-module and shared state
+/// sizes vs. the spec, finiteness of every parameter, and
 /// (when `norm_bound_rms` > 0) an RMS bound on module/shared payloads.
 /// Never mutates the cloud. Returns the first failure found.
 UpdateVerdict validate_update(ModularModel& cloud, const EdgeUpdate& up,

@@ -119,7 +119,8 @@ void ModuleSelector::backward(const std::vector<Tensor>& grad_probs,
     Tensor dh_l = heads_[l]->backward(dlogits);
     add_inplace(dh, dh_l);
   }
-  embed_.backward(dh);
+  // Nothing reads dL/d(input): the embedding's first Linear skips its dx.
+  embed_.backward_params(dh);
   cached_softmax_.clear();
 }
 
@@ -281,6 +282,7 @@ std::vector<SelectorRoutingStats> selector_routing_stats(
   const std::int64_t b = x_flat.dim(0);
   NEBULA_CHECK(b > 0);
   std::vector<SelectorRoutingStats> out(selector.num_layers());
+  std::vector<std::int64_t> top;
   for (std::size_t l = 0; l < selector.num_layers(); ++l) {
     const Tensor& p = gates.probs[l];
     const std::int64_t n = p.dim(1);
@@ -292,9 +294,8 @@ std::vector<SelectorRoutingStats> selector_routing_stats(
       for (std::int64_t i = 0; i < n; ++i) {
         soft[static_cast<std::size_t>(i)] += row[i];
       }
-      for (std::int64_t i : topk_indices(row, n, k)) {
-        slots[static_cast<std::size_t>(i)] += 1.0;
-      }
+      topk_indices(row, n, k, top);
+      for (std::int64_t i : top) slots[static_cast<std::size_t>(i)] += 1.0;
     }
     out[l].soft = obs::routing_stats(soft);
     out[l].topk = obs::routing_stats(slots);

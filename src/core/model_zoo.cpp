@@ -221,8 +221,7 @@ std::vector<LayerPtr> build_module_layer(const BlockSpec& block,
   return mods;
 }
 
-/// A dense part as one layer: absent when empty, bare when a single layer
-/// (a Sequential would copy its input on every forward).
+/// A dense part as one layer: absent when empty, bare when a single layer.
 LayerPtr chain(std::vector<LayerPtr> layers) {
   if (layers.empty()) return nullptr;
   if (layers.size() == 1) return std::move(layers.front());

@@ -13,10 +13,6 @@ Tensor run_forward(const LayerPtr& part, const Tensor& x, bool train) {
   return part ? part->forward(x, train) : x;
 }
 
-Tensor run_backward(const LayerPtr& part, const Tensor& g) {
-  return part ? part->backward(g) : g;
-}
-
 }  // namespace
 
 ModularModel::ModularModel(Parts parts, std::vector<std::int64_t> sample_shape)
@@ -79,14 +75,18 @@ Tensor ModularModel::forward(const Tensor& x, const GateResult& gates,
                                          << " layers, model has "
                                          << layers_.size());
   // Accept any input whose per-sample volume matches the model's sample
-  // shape (flat (B, D) or shaped (B, ...)); normalise to {B, sample_shape}.
-  Tensor h = x;
-  {
-    std::vector<std::int64_t> shaped{h.dim(0)};
-    shaped.insert(shaped.end(), sample_shape_.begin(), sample_shape_.end());
-    if (h.shape() != shaped) h.reshape(shaped);
+  // shape (flat (B, D) or shaped (B, ...)); normalise to {B, sample_shape},
+  // copying only an input that needs the reshape.
+  std::vector<std::int64_t> shaped{x.dim(0)};
+  shaped.insert(shaped.end(), sample_shape_.begin(), sample_shape_.end());
+  const Tensor* in = &x;
+  Tensor reshaped;
+  if (x.shape() != shaped) {
+    reshaped = x;
+    reshaped.reshape(std::move(shaped));
+    in = &reshaped;
   }
-  h = run_forward(stem_, h, train);
+  Tensor h = run_forward(stem_, *in, train);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     h = layers_[l]->forward(h, gates.probs[l], opts, train);
     if (l + 1 < layers_.size() && bridges_[l]) {
@@ -98,6 +98,16 @@ Tensor ModularModel::forward(const Tensor& x, const GateResult& gates,
 }
 
 Tensor ModularModel::backward(const Tensor& grad_out) {
+  Tensor g = backward_to_stem(grad_out);
+  return stem_ ? stem_->backward(g) : g;
+}
+
+void ModularModel::backward_params(const Tensor& grad_out) {
+  Tensor g = backward_to_stem(grad_out);
+  if (stem_) stem_->backward_params(g);
+}
+
+Tensor ModularModel::backward_to_stem(const Tensor& grad_out) {
   NEBULA_CHECK_MSG(in_forward_train_,
                    "ModularModel::backward without forward(train=true)");
   gate_grads_.assign(layers_.size(), Tensor{});
@@ -109,7 +119,6 @@ Tensor ModularModel::backward(const Tensor& grad_out) {
     g = layers_[l]->backward(g);
     gate_grads_[l] = layers_[l]->gate_grad();
   }
-  g = run_backward(stem_, g);
   in_forward_train_ = false;
   return g;
 }

@@ -68,8 +68,14 @@ class ModularModel {
                  const RoutingOpts& opts, bool train);
 
   /// Backward from dL/d(logits). Per-layer gate gradients (B, full_width)
-  /// are retrievable via `gate_grads()` afterwards.
+  /// are retrievable via `gate_grads()` afterwards; a layer's entry is empty
+  /// when the forward ran with `RoutingOpts::gate_grad = false`.
   Tensor backward(const Tensor& grad_out);
+
+  /// As `backward`, but the stem takes the parameter-only call
+  /// (Layer::backward_params): the same parameter and gate gradients, bit
+  /// for bit, without the input gradient that training never reads.
+  void backward_params(const Tensor& grad_out);
 
   const std::vector<Tensor>& gate_grads() const { return gate_grads_; }
 
@@ -137,6 +143,9 @@ class ModularModel {
 
  private:
   ModularModel() = default;
+  // Backward from the head through the last module layer: returns dL/d(stem
+  // output) and records the gate gradients.
+  Tensor backward_to_stem(const Tensor& grad_out);
   std::size_t local_index(std::size_t l, std::int64_t global_id) const;
   void compute_layer_shapes();
 

@@ -40,6 +40,7 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
   for (auto& list : routed_) list.clear();
   gate_mass_.resize(static_cast<std::size_t>(batch));
   std::vector<float> raw(n_local), keys(n_local);
+  std::vector<std::int64_t> top;
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* row = gate_probs.data() + b * full_width_;
     for (std::size_t i = 0; i < n_local; ++i) {
@@ -48,7 +49,7 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
                     ? std::log(raw[i] + 1e-9f) + opts.noise_std * opts.rng->normal()
                     : raw[i];
     }
-    auto top = topk_indices(keys.data(), static_cast<std::int64_t>(n_local), k);
+    topk_indices(keys.data(), static_cast<std::int64_t>(n_local), k, top);
     float mass = 0.0f;
     for (auto i : top) mass += raw[i];
     mass = std::max(mass, 1e-9f);
@@ -95,9 +96,8 @@ Tensor ModuleLayer::forward(const Tensor& x, const Tensor& gate_probs,
     }
     if (train) module_outputs_[m] = std::move(out);
   }
-  if (train) {
-    combined_output_ = y;
-  } else {
+  combined_output_ = train && opts.gate_grad ? y : Tensor{};
+  if (!train) {
     gate_mass_.clear();
     module_outputs_.clear();
   }
@@ -108,13 +108,14 @@ Tensor ModuleLayer::backward(const Tensor& grad_out) {
   NEBULA_CHECK_MSG(!gate_mass_.empty(),
                    "ModuleLayer::backward without forward(train=true)");
   const std::int64_t batch = in_shape_[0];
-  NEBULA_CHECK(grad_out.numel() == combined_output_.numel());
+  NEBULA_CHECK(grad_out.numel() == Tensor::numel_from(out_shape_cached_));
   const std::int64_t s_in = Tensor::numel_from(in_shape_) / batch;
-  const std::int64_t s_out = combined_output_.numel() / batch;
+  const std::int64_t s_out = grad_out.numel() / batch;
   const std::size_t n_local = modules_.size();
+  const bool want_gate_grad = !combined_output_.empty();
 
   Tensor dx(in_shape_);
-  gate_grad_ = Tensor({batch, full_width_});
+  gate_grad_ = want_gate_grad ? Tensor({batch, full_width_}) : Tensor{};
 
   for (std::size_t m = 0; m < n_local; ++m) {
     const auto& samples = routed_[m];
@@ -137,6 +138,7 @@ Tensor ModuleLayer::backward(const Tensor& grad_out) {
       float* dst = dx.data() + samples[r].sample * s_in;
       for (std::int64_t i = 0; i < s_in; ++i) dst[i] += src[i];
     }
+    if (!want_gate_grad) continue;
     // Gate gradient: dL/dg_j = <dy_b, f_j(x_b) − y_b> / mass_b.
     for (std::size_t r = 0; r < samples.size(); ++r) {
       const std::int64_t b = samples[r].sample;

@@ -29,6 +29,11 @@ struct RoutingOpts {
   std::int64_t top_k = 2;
   float noise_std = 0.0f;  // >0 enables noisy top-k (training only)
   Rng* rng = nullptr;      // required when noise_std > 0
+  /// False when nothing will read the gate gradient (the selector is
+  /// frozen): a training forward then keeps no copy of the combined output
+  /// and backward computes no gate gradient. Parameter and input gradients
+  /// do not depend on it.
+  bool gate_grad = true;
 };
 
 class ModuleLayer {
@@ -45,9 +50,10 @@ class ModuleLayer {
   Tensor forward(const Tensor& x, const Tensor& gate_probs,
                  const RoutingOpts& opts, bool train);
 
-  /// Returns dL/dx and accumulates module parameter gradients. Also computes
-  /// the gate gradient, retrievable via `gate_grad()` as a full-width
-  /// (B, full_width) tensor (zero outside the activated set).
+  /// Returns dL/dx and accumulates module parameter gradients. Unless the
+  /// forward ran with `gate_grad = false`, also computes the gate gradient,
+  /// retrievable via `gate_grad()` as a full-width (B, full_width) tensor
+  /// (zero outside the activated set); otherwise `gate_grad()` is empty.
   Tensor backward(const Tensor& grad_out);
 
   const Tensor& gate_grad() const { return gate_grad_; }
@@ -83,7 +89,7 @@ class ModuleLayer {
                                   // empty unless a training forward is live
   // Forward caches (training mode).
   std::vector<Tensor> module_outputs_;  // per module: sub-batch out
-  Tensor combined_output_;
+  Tensor combined_output_;  // kept only when the gate gradient is wanted
   std::vector<std::int64_t> in_shape_;
   std::vector<std::int64_t> out_shape_cached_;
   Tensor gate_grad_;

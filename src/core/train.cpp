@@ -105,28 +105,28 @@ TrainStats train_modular(ModularModel& model, ModuleSelector& selector,
     for (auto batch = sampler.next(); !batch.empty(); batch = sampler.next()) {
       Tensor x = data.batch_view(batch);
       const auto labels = data.batch_labels(batch);
-      Tensor x_flat = flat_view(x);
 
       GateResult gates;
       if (table && from_table(static_cast<std::int64_t>(batch.size()))) {
         gates.probs = gather_gate_rows(*table, batch);
       } else {
-        gates = selector.forward(x_flat, cfg.train_selector);
+        gates = selector.forward(flat_view(x), cfg.train_selector);
       }
       RoutingOpts opts;
       opts.top_k = cfg.top_k;
       opts.noise_std = cfg.train_selector ? cfg.noise_std : 0.0f;
       opts.rng = &route_rng;
+      opts.gate_grad = cfg.train_selector;
 
       Tensor logits = model.forward(x, gates, opts, /*train=*/true);
       LossResult ce = softmax_cross_entropy(logits, labels);
 
-      model.zero_grad();
-      model.backward(ce.grad);
+      model_opt.zero_grad();
+      model.backward_params(ce.grad);
 
       float balance_loss = 0.0f;
       if (cfg.train_selector) {
-        for (Param* p : selector_params) p->grad.zero();
+        selector_opt->zero_grad();
         // Gate gradients from the task loss flow through the module
         // combination (grad_probs). The load-balance term is applied
         // straight-through at the logits: pushing the batch-mean gate
@@ -134,7 +134,7 @@ TrainStats train_modular(ModularModel& model, ModuleSelector& selector,
         // Routing the balance term through the softmax Jacobian instead
         // would vanish exactly for the saturated (dead) modules it is meant
         // to revive.
-        std::vector<Tensor> grad_probs = model.gate_grads();
+        const std::vector<Tensor>& grad_probs = model.gate_grads();
         std::vector<Tensor> grad_logits(grad_probs.size());
         for (std::size_t l = 0; l < grad_probs.size(); ++l) {
           balance_loss += load_balance_loss(gates.probs[l], nullptr);
@@ -220,8 +220,8 @@ TrainStats train_plain(Layer& model, const Dataset& data,
       const auto labels = data.batch_labels(batch);
       Tensor logits = model.forward(x, /*train=*/true);
       LossResult ce = softmax_cross_entropy(logits, labels);
-      model.zero_grad();
-      model.backward(ce.grad);
+      opt.zero_grad();
+      model.backward_params(ce.grad);
       clip_grad_norm(params, cfg.grad_clip);
       opt.step();
       stats.final_loss = ce.loss;

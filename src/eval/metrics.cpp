@@ -15,8 +15,9 @@ float topk_accuracy(const Tensor& logits,
   NEBULA_CHECK(k >= 1 && k <= c);
   if (n == 0) return 0.0f;
   std::int64_t hits = 0;
+  std::vector<std::int64_t> top;
   for (std::int64_t r = 0; r < n; ++r) {
-    auto top = topk_indices(logits.data() + r * c, c, k);
+    topk_indices(logits.data() + r * c, c, k, top);
     if (std::find(top.begin(), top.end(), labels[static_cast<std::size_t>(r)]) !=
         top.end()) {
       ++hits;

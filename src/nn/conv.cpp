@@ -102,6 +102,14 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  return backward_impl(grad_out, /*want_dx=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  backward_impl(grad_out, /*want_dx=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_out, bool want_dx) {
   NEBULA_CHECK_MSG(!cached_input_.empty(),
                    "Conv2d::backward without forward(train=true)");
   NEBULA_SPAN("conv.bwd");
@@ -113,7 +121,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   NEBULA_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
                grad_out.dim(1) == out_c_ && grad_out.dim(2) == oh &&
                grad_out.dim(3) == ow);
-  Tensor dx(in_shape_);
+  Tensor dx;
+  if (want_dx) dx = Tensor(in_shape_);
   if (n == 0) return dx;
   const std::int64_t pix = oh * ow;
   const std::int64_t cols = n * pix;
@@ -149,6 +158,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       gb[c] += acc;
     }
   }
+  // The cached input serves exactly one backward. Releasing it keeps the
+  // fleet's resident sub-models from holding a copy of every conv input
+  // between rounds.
+  cached_input_ = Tensor();
+  if (!want_dx) return dx;
   // dcol(rows, n·P) = Wᵀ · G, images fanned out across the pool, then
   // scattered back by one col2im call per chunk of images, which resolves
   // the geometry once for the whole chunk.
@@ -165,10 +179,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                dxd + i * in_vol, static_cast<std::int64_t>(hi - lo));
       },
       image_grain(rows * pix));
-  // The cached input serves exactly one backward. Releasing it keeps the
-  // fleet's resident sub-models from holding a copy of every conv input
-  // between rounds.
-  cached_input_ = Tensor();
   return dx;
 }
 

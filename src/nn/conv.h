@@ -6,8 +6,9 @@
 namespace nebula {
 
 /// 2-D convolution via im2col + GEMM. Weight layout: (out_c, in_c*kh*kw).
-/// backward() consumes the input cached by forward(train=true): each forward
-/// serves one backward, and a second backward throws.
+/// backward() and backward_params() consume the input cached by
+/// forward(train=true): each forward serves one backward, and a second
+/// backward throws.
 class Conv2d : public Layer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -16,6 +17,8 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// dW and db only: skips the dx tensor, the dcol product and col2im.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::string name() const override { return "Conv2d"; }
   std::vector<std::int64_t> out_shape(
@@ -28,6 +31,10 @@ class Conv2d : public Layer {
   std::int64_t out_channels() const { return out_c_; }
 
  private:
+  // Both backwards: dW and db, then dx only when `want_dx` (else returns an
+  // empty tensor).
+  Tensor backward_impl(const Tensor& grad_out, bool want_dx);
+
   std::int64_t in_c_, out_c_, k_, stride_, pad_;
   bool has_bias_;
   Param w_;  // (out_c, in_c*k*k)

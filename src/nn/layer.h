@@ -1,7 +1,9 @@
 // Layer abstraction for the training substrate.
 //
 // The library uses module-local backpropagation: each layer caches what it
-// needs during `forward` and produces the input gradient in `backward`.
+// needs during `forward` and produces the input gradient in `backward`
+// (or, for a model's first layer, only the parameter gradients in
+// `backward_params`).
 // There is no global autograd tape — the composition order of layers *is*
 // the tape, which keeps the system small and the memory behaviour explicit
 // (important for the on-device memory cost model).
@@ -37,6 +39,14 @@ class Layer {
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input). Must be called after a matching `forward(…, train=true)`.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+
+  /// Parameter-gradient-only backward, for the first layer of a model whose
+  /// input gradient nobody reads. Accumulates exactly the parameter
+  /// gradients `backward` would, bit for bit, and releases the same caches,
+  /// but may skip computing dL/d(input). The default runs `backward` and
+  /// drops its result; layers whose input gradient costs a product of its
+  /// own (Linear, Conv2d) or that chain layers (Sequential) override it.
+  virtual void backward_params(const Tensor& grad_out) { backward(grad_out); }
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }

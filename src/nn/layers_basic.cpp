@@ -34,6 +34,14 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
+  Linear::backward_params(grad_out);
+  // dx(N,in) = dy(N,out) * W(in,out)^T -> matmul_nt(dy, W) with B rows = in.
+  Tensor dx({grad_out.dim(0), in_});
+  matmul_nt(grad_out, w_.value, dx);
+  return dx;
+}
+
+void Linear::backward_params(const Tensor& grad_out) {
   NEBULA_CHECK_MSG(!cached_input_.empty(),
                    "Linear::backward without forward(train=true)");
   NEBULA_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
@@ -46,11 +54,6 @@ Tensor Linear::backward(const Tensor& grad_out) {
       for (std::int64_t c = 0; c < out_; ++c) gb[c] += gy[r * out_ + c];
     }
   }
-  // dx = dy * W^T; W stored (in,out) so use nt with B=(in,out)? We need
-  // dx(N,in) = dy(N,out) * W(in,out)^T -> matmul_nt(dy, W) with B rows = in.
-  Tensor dx({grad_out.dim(0), in_});
-  matmul_nt(grad_out, w_.value, dx);
-  return dx;
 }
 
 std::vector<Param*> Linear::params() {

@@ -13,6 +13,8 @@ class Linear : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// dW and db only: skips the dx product.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::string name() const override { return "Linear"; }
   std::vector<std::int64_t> out_shape(

@@ -27,18 +27,29 @@ class Sequential : public Layer {
     return *this;
   }
 
+  // The argument goes straight to the first (forward) or last (backward)
+  // layer; only an empty chain copies it.
   Tensor forward(const Tensor& x, bool train) override {
-    Tensor h = x;
-    for (auto& layer : layers_) h = layer->forward(h, train);
+    if (layers_.empty()) return x;
+    Tensor h = layers_.front()->forward(x, train);
+    for (std::size_t i = 1; i < layers_.size(); ++i) {
+      h = layers_[i]->forward(h, train);
+    }
     return h;
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      g = (*it)->backward(g);
-    }
-    return g;
+    if (layers_.empty()) return grad_out;
+    Tensor g;
+    return layers_.front()->backward(grad_at_first(grad_out, g));
+  }
+
+  /// Backward through all but the first layer, which then takes the
+  /// parameter-only call.
+  void backward_params(const Tensor& grad_out) override {
+    if (layers_.empty()) return;
+    Tensor g;
+    layers_.front()->backward_params(grad_at_first(grad_out, g));
   }
 
   std::vector<Param*> params() override {
@@ -96,6 +107,17 @@ class Sequential : public Layer {
   Layer& operator[](std::size_t i) { return *layers_.at(i); }
 
  private:
+  // dL/d(first layer's output) of a non-empty chain: grad_out itself for
+  // one layer, else grad_out run backward through layers N-1..1 into `g`.
+  const Tensor& grad_at_first(const Tensor& grad_out, Tensor& g) {
+    if (layers_.size() == 1) return grad_out;
+    g = layers_.back()->backward(grad_out);
+    for (std::size_t i = layers_.size() - 1; i-- > 1;) {
+      g = layers_[i]->backward(g);
+    }
+    return g;
+  }
+
   std::vector<LayerPtr> layers_;
 };
 

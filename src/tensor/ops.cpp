@@ -206,10 +206,10 @@ std::int64_t argmax_row(const Tensor& t, std::int64_t r) {
   return best;
 }
 
-std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
-                                       std::int64_t k) {
+void topk_indices(const float* v, std::int64_t n, std::int64_t k,
+                  std::vector<std::int64_t>& idx) {
   NEBULA_CHECK_MSG(k >= 0 && k <= n, "topk k out of range");
-  std::vector<std::int64_t> idx(static_cast<std::size_t>(n));
+  idx.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
   std::partial_sort(idx.begin(), idx.begin() + k, idx.end(),
                     [v](std::int64_t a, std::int64_t b) {
@@ -217,6 +217,12 @@ std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
                       return a < b;  // deterministic tie-break
                     });
   idx.resize(static_cast<std::size_t>(k));
+}
+
+std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
+                                       std::int64_t k) {
+  std::vector<std::int64_t> idx;
+  topk_indices(v, n, k, idx);
   return idx;
 }
 

@@ -64,9 +64,15 @@ Tensor log_softmax_rows(const Tensor& logits);
 /// Index of the maximum element in row r of a (rows, cols) tensor.
 std::int64_t argmax_row(const Tensor& t, std::int64_t r);
 
-/// Indices of the k largest values (descending) in `v[offset .. offset+n)`.
+/// Indices of the k largest values (descending) in `v[0 .. n)`; ties go to
+/// the lower index.
 std::vector<std::int64_t> topk_indices(const float* v, std::int64_t n,
                                        std::int64_t k);
+
+/// As above, written into `idx` (resized to k), so a caller that keeps the
+/// buffer across rows allocates once.
+void topk_indices(const float* v, std::int64_t n, std::int64_t k,
+                  std::vector<std::int64_t>& idx);
 
 // ---- Convolution support ----------------------------------------------------
 

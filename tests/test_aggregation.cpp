@@ -378,6 +378,14 @@ TEST(Aggregation, ValidateUpdateVerdicts) {
   EXPECT_EQ(validate_update(*zm.model, truncated),
             UpdateVerdict::kStateSizeMismatch);
 
+  // A module listed twice in one layer, each copy well-formed: aggregation
+  // would fold one copy while payload_bytes bills both.
+  auto duplicate = ok;
+  duplicate.spec.modules[0] = {0, 1, 0};
+  duplicate.module_states[0].push_back(duplicate.module_states[0][0]);
+  EXPECT_EQ(validate_update(*zm.model, duplicate),
+            UpdateVerdict::kStateSizeMismatch);
+
   auto nan_update = ok;
   nan_update.module_states[0][1][0] = std::nanf("");
   EXPECT_EQ(validate_update(*zm.model, nan_update),

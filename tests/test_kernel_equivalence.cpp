@@ -16,7 +16,10 @@
 //    latter on 1- and 4-worker pools);
 //  * the selector's gate memo: frozen-selector training fed from it against
 //    a loop that runs the selector per batch, importance against a fresh
-//    forward, and every part of its key forcing a recompute — bitwise.
+//    forward, and every part of its key forcing a recompute — bitwise;
+//  * training steps: the parameter-only backward against backward (Linear,
+//    the conv stems, every model family) on 1- and 4-worker pools, and
+//    frozen-selector training against a full-backward reference — bitwise.
 //
 // CTest runs this binary twice (label `kernels`): once with runtime dispatch
 // and once under NEBULA_FORCE_PORTABLE_KERNEL=1, where the SIMD comparisons
@@ -34,6 +37,8 @@
 #include "core/train.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
+#include "nn/init.h"
+#include "nn/layers_basic.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
@@ -1103,6 +1108,168 @@ TEST(GateMemo, EveryKeyChangeRecomputes) {
     }
     EXPECT_EQ(table_recomputed(sel, x, &t), !was_portable);
     expect_table_is_forward(sel, x, *t);
+  }
+}
+
+// -----------------------------------------------------------------------------
+// Training steps skip what the update does not read: the first layer's input
+// gradient (Layer::backward_params) and, under a frozen selector, the gate
+// gradients. Parameter gradients and trained parameters must not move a bit.
+
+bool any_nonzero_grad(const std::vector<Param*>& params) {
+  for (const Param* p : params) {
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
+      if (p->grad[static_cast<std::size_t>(i)] != 0.0f) return true;
+    }
+  }
+  return false;
+}
+
+void expect_grads_bitwise(const std::vector<Param*>& got,
+                          const std::vector<Param*>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i]->grad.numel(), want[i]->grad.numel()) << what;
+    expect_bits_equal(got[i]->grad.data(), want[i]->grad.data(),
+                      got[i]->grad.numel(), what);
+  }
+  EXPECT_TRUE(any_nonzero_grad(want)) << what << ": all gradients zero";
+}
+
+// One training forward on two copies of `layer`, then backward on one and
+// backward_params on the other.
+void expect_param_only_matches(const Layer& layer, const Tensor& x, Rng& rng,
+                               const char* what) {
+  LayerPtr full = layer.clone(), param_only = layer.clone();
+  const Tensor y = full->forward(x, /*train=*/true);
+  param_only->forward(x, /*train=*/true);
+  Tensor gy(y.shape());
+  fill_random(gy, rng);
+  full->zero_grad();
+  param_only->zero_grad();
+  full->backward(gy);
+  param_only->backward_params(gy);
+  expect_grads_bitwise(param_only->params(), full->params(), what);
+}
+
+struct ZooFamily {
+  TaskModel which;
+  std::vector<std::int64_t> shape;
+  std::int64_t classes;
+  const char* name;
+};
+
+const ZooFamily kZooFamilies[] = {
+    {TaskModel::kMlpHar, {32}, 6, "mlp_har"},
+    {TaskModel::kResNet18, {3, 8, 8}, 10, "resnet18"},
+    {TaskModel::kVgg16, {3, 8, 8}, 100, "vgg16"},
+    {TaskModel::kResNet34, {1, 16, 8}, 35, "resnet34"},
+};
+
+TEST(ParamOnlyBackward, BitIdenticalToBackward) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ScopedPool pool(threads);
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    Rng rng(8080);
+    init::reseed(77);
+    for (const bool bias : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "bias=" << bias);
+      Tensor x({16, 32});
+      fill_random(x, rng);
+      expect_param_only_matches(Linear(32, 48, bias), x, rng, "Linear");
+      // The ResNet stem (3->8 at 8x8) and the speech stem (1->8 at 16x8).
+      Tensor img({16, 3, 8, 8});
+      fill_random(img, rng);
+      expect_param_only_matches(Conv2d(3, 8, 3, 1, 1, bias), img, rng,
+                                "Conv2d resnet stem");
+      Tensor spec({16, 1, 16, 8});
+      fill_random(spec, rng);
+      expect_param_only_matches(Conv2d(1, 8, 3, 1, 1, bias), spec, rng,
+                                "Conv2d speech stem");
+    }
+    for (const ZooFamily& f : kZooFamilies) {
+      SCOPED_TRACE(f.name);
+      ZooOptions opts;
+      opts.init_seed = 99;
+      ZooModel zm = make_modular(f.which, f.shape, f.classes, opts);
+      Tensor x({16, Tensor::numel_from(f.shape)});
+      fill_random(x, rng);
+      const GateResult gates = zm.selector->forward(x, /*train=*/false);
+      RoutingOpts ropts;
+      ropts.top_k = 2;
+      auto full = zm.model->clone(), param_only = zm.model->clone();
+      const Tensor logits = full->forward(x, gates, ropts, /*train=*/true);
+      param_only->forward(x, gates, ropts, /*train=*/true);
+      Tensor gy(logits.shape());
+      fill_random(gy, rng);
+      full->zero_grad();
+      param_only->zero_grad();
+      full->backward(gy);
+      param_only->backward_params(gy);
+      expect_grads_bitwise(param_only->params(), full->params(), "modular");
+      ASSERT_EQ(param_only->gate_grads().size(), full->gate_grads().size());
+      for (std::size_t l = 0; l < full->gate_grads().size(); ++l) {
+        const Tensor& want = full->gate_grads()[l];
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(param_only->gate_grads()[l].numel(), want.numel());
+        expect_bits_equal(param_only->gate_grads()[l].data(), want.data(),
+                          want.numel(), "gate grads");
+      }
+
+      std::vector<std::int64_t> shaped{16};
+      shaped.insert(shaped.end(), f.shape.begin(), f.shape.end());
+      Tensor xp(shaped);
+      fill_random(xp, rng);
+      for (const double width : {1.0, 0.5}) {
+        SCOPED_TRACE(testing::Message() << "plain width=" << width);
+        const LayerPtr plain = make_plain(f.which, f.shape, f.classes, width);
+        expect_param_only_matches(*plain, xp, rng, "plain");
+      }
+    }
+  }
+}
+
+// A frozen-selector train_modular (parameter-only first layer, no gate
+// gradients) against a loop that runs the full backward with gate gradients
+// on; a live-selector run still fills the gate gradients.
+TEST(TrainStep, FrozenSelectorBitIdenticalToFullBackward) {
+  for (const ZooFamily& f : kZooFamilies) {
+    SCOPED_TRACE(f.name);
+    ZooOptions opts;
+    opts.init_seed = 4242;
+    ZooModel zm = make_modular(f.which, f.shape, f.classes, opts);
+    Rng rng(31);
+    const Dataset data = random_dataset(f.shape, f.classes, 40, rng);
+    TrainConfig cfg;
+    cfg.epochs = 1;
+    cfg.batch_size = 16;
+    cfg.train_selector = false;
+    cfg.seed = 17;
+    auto want = zm.model->clone();
+    reference_frozen_train(*want, *zm.selector, data, cfg);
+    auto got = zm.model->clone();
+    train_modular(*got, *zm.selector, data, cfg);
+    expect_params_bitwise(got->params(), want->params(), "trained params");
+    ASSERT_EQ(want->gate_grads().size(), zm.model->num_module_layers());
+    for (std::size_t l = 0; l < want->gate_grads().size(); ++l) {
+      EXPECT_FALSE(want->gate_grads()[l].empty());  // the reference's are on
+      EXPECT_TRUE(got->gate_grads()[l].empty());
+    }
+
+    ZooModel live = make_modular(f.which, f.shape, f.classes, opts);
+    cfg.train_selector = true;
+    train_modular(*live.model, *live.selector, data, cfg);
+    const auto& grads = live.model->gate_grads();
+    ASSERT_EQ(grads.size(), live.model->num_module_layers());
+    for (std::size_t l = 0; l < grads.size(); ++l) {
+      ASSERT_EQ(grads[l].rank(), 2);
+      EXPECT_EQ(grads[l].dim(1), live.model->full_widths()[l]);
+      bool nonzero = false;
+      for (std::int64_t i = 0; i < grads[l].numel(); ++i) {
+        nonzero = nonzero || grads[l][static_cast<std::size_t>(i)] != 0.0f;
+      }
+      EXPECT_TRUE(nonzero) << "layer " << l;
+    }
   }
 }
 

@@ -266,6 +266,51 @@ TEST(ModuleLayer, GateGradientsMatchNumerical) {
   }
 }
 
+// A frozen selector reads no gate gradient: with gate_grad off, backward
+// returns the same input and parameter gradients bit for bit and leaves
+// gate_grad() empty; the default forward still fills it.
+TEST(ModuleLayer, GateGradOffKeepsInputAndParamGradients) {
+  init::reseed(311);
+  ModuleLayer on(linear_modules(4, 3), iota_ids(4), 4);
+  ModuleLayer off(linear_modules(4, 3), iota_ids(4), 4);
+  for (std::size_t m = 0; m < on.size(); ++m) {
+    off.module(m).params()[0]->value = on.module(m).params()[0]->value;
+  }
+  Rng rng(5);
+  Tensor x({6, 3}), gates({6, 4}), gy({6, 3});
+  fill_random(x, rng);
+  fill_random(gy, rng);
+  for (std::int64_t i = 0; i < gates.numel(); ++i) {
+    gates[static_cast<std::size_t>(i)] = rng.uniform(0.1f, 1.0f);
+  }
+  RoutingOpts opts;
+  opts.top_k = 2;
+  const Tensor y_on = on.forward(x, gates, opts, true);
+  opts.gate_grad = false;
+  const Tensor y_off = off.forward(x, gates, opts, true);
+  ASSERT_EQ(std::memcmp(y_on.data(), y_off.data(),
+                        static_cast<std::size_t>(y_on.numel()) * sizeof(float)),
+            0);
+  const Tensor dx_on = on.backward(gy);
+  const Tensor dx_off = off.backward(gy);
+  ASSERT_EQ(dx_on.numel(), dx_off.numel());
+  EXPECT_EQ(std::memcmp(dx_on.data(), dx_off.data(),
+                        static_cast<std::size_t>(dx_on.numel()) * sizeof(float)),
+            0);
+  const auto p_on = on.params(), p_off = off.params();
+  ASSERT_EQ(p_on.size(), p_off.size());
+  for (std::size_t i = 0; i < p_on.size(); ++i) {
+    EXPECT_EQ(std::memcmp(p_on[i]->grad.data(), p_off[i]->grad.data(),
+                          static_cast<std::size_t>(p_on[i]->grad.numel()) *
+                              sizeof(float)),
+              0)
+        << "param " << i;
+  }
+  EXPECT_EQ(on.gate_grad().shape(), (std::vector<std::int64_t>{6, 4}));
+  EXPECT_TRUE(off.gate_grad().empty());
+  EXPECT_THROW(off.backward(gy), std::runtime_error);  // one backward per forward
+}
+
 TEST(ModuleLayer, ConstructorValidatesIds) {
   EXPECT_THROW(ModuleLayer(linear_modules(2, 2), {0, 5}, 3),
                std::runtime_error);

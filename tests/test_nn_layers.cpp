@@ -214,6 +214,12 @@ TEST(Conv2d, BackwardConsumesCachedInput) {
   EXPECT_THROW(conv.backward(gy), std::runtime_error);
   conv.forward(x, true);
   EXPECT_NO_THROW(conv.backward(gy));
+  // The parameter-only backward consumes the cached input as well.
+  EXPECT_THROW(conv.backward_params(gy), std::runtime_error);
+  conv.forward(x, true);
+  EXPECT_NO_THROW(conv.backward_params(gy));
+  EXPECT_THROW(conv.backward(gy), std::runtime_error);
+  EXPECT_THROW(conv.backward_params(gy), std::runtime_error);
 }
 
 TEST(MaxPool2d, SelectsWindowMaximum) {

@@ -210,6 +210,20 @@ TEST(TopK, KZeroAndKAll) {
   EXPECT_THROW(topk_indices(v, 2, 3), std::runtime_error);
 }
 
+TEST(TopK, BufferFormMatchesAndReusesCapacity) {
+  const float wide[] = {0.3f, 0.1f, 0.9f, 0.9f, 0.2f, 0.7f};
+  const float narrow[] = {0.4f, 0.8f, 0.6f};
+  std::vector<std::int64_t> buf;
+  topk_indices(wide, 6, 3, buf);
+  EXPECT_EQ(buf, topk_indices(wide, 6, 3));
+  EXPECT_EQ(buf, (std::vector<std::int64_t>{2, 3, 5}));
+  const std::int64_t* storage = buf.data();
+  topk_indices(narrow, 3, 2, buf);  // stale contents from the wider row
+  EXPECT_EQ(buf, (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(buf.data(), storage);  // no reallocation
+  EXPECT_THROW(topk_indices(narrow, 3, 4, buf), std::runtime_error);
+}
+
 TEST(Argmax, PicksRowMaximum) {
   Tensor t({2, 3}, {0, 5, 2, 9, 1, 1});
   EXPECT_EQ(argmax_row(t, 0), 1);
